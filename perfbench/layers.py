@@ -210,9 +210,18 @@ class LayerTimer:
         self._set(inference, "_resolve_memo", resolve)
 
     def memo_counts(self) -> Tuple[int, int]:
-        """Inference-memo (hits, misses) accrued by every logged memo."""
+        """Inference-memo (hits, misses) accrued since each memo was first seen.
+
+        A long-lived memo (``validate`` shares one across every subject) is
+        logged once per ``infer`` call; only its first entry counts, so its
+        activity is counted once.  The log holds every memo alive, so no two
+        distinct memos share an ``id``.
+        """
+        first: Dict[int, Tuple[Any, int, int]] = {}
+        for entry in self.memo_log:
+            first.setdefault(id(entry[0]), entry)
         hits = misses = 0
-        for memo, hits0, misses0 in self.memo_log:
+        for memo, hits0, misses0 in first.values():
             hits += memo.hits - hits0
             misses += memo.misses - misses0
         return hits, misses

@@ -4,7 +4,7 @@
 
 Run from the root of a checkout (the one holding ``src/repro``).  Workloads:
 ``batch``, ``validate`` and ``tune`` run a fresh interpreter per measured
-pass (``sweep.py``) until ``--seconds`` have elapsed (at least
+pass (``sweep.py``), a number of passes fixed by ``--seconds`` (at least
 ``MIN_PASSES``); ``serve`` drives a ``repro serve --workers 2`` process tree
 (``serve.py``).  Outputs are checked on every run.  The last stdout line is
 ``{"correct", "attempted", "failed", "metrics"}``: the end-to-end metrics
@@ -22,7 +22,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from statistics import median
+from statistics import mean, median
 from typing import Any, Dict, List, Tuple
 
 from .metrics import END_TO_END, per_layer, percentile, result_line
@@ -30,11 +30,26 @@ from .metrics import END_TO_END, per_layer, percentile, result_line
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 WORKLOADS = ("batch", "validate", "tune", "serve")
-#: Passes per sweep run at the least: medians need three.  A traced run
-#: alternates untraced and traced passes, so it needs at least two.
-MIN_PASSES = 3
-MIN_TRACED_PASSES = 2
-MAX_PASSES = 40
+#: Passes per sweep run at the least: one per-program minimum needs two.
+MIN_PASSES = 2
+#: Seconds of ``--seconds`` each pass stands for.  The number of passes is
+#: fixed from ``--seconds`` and these alone before any pass runs, so it
+#: does not depend on how fast the code under test is: a per-program
+#: minimum over more samples reads lower, and a faster change must not earn
+#: itself more samples.  At ``--seconds 15``: three passes of ``batch``
+#: (about 5 s each on a 2-vCPU x86-64 VM) and ``validate`` (about 7.5 s),
+#: two of ``tune`` (about 10 s).
+SECONDS_PER_PASS = {"batch": 5.0, "validate": 5.0, "tune": 7.5}
+#: Workloads whose passes each sample at a seed of their own, derived from
+#: the workload seed.  ``validate``'s cost moves with its sampling seed: the
+#: exact rationals of the sampled points set the size of each cached result,
+#: so one seed's largest entry (``table3::Horner20``, 13.5-16.6 KB over
+#: seeds 401-410) takes 2.3-3.4 ms to load.  Three seeds per run average
+#: that out of the latency percentiles.
+PER_PASS_SEEDS = ("validate",)
+#: Set-up-only interpreters started after each pass, so ``setup_s`` is a
+#: median of ``1 + SETUP_EXTRA`` samples per pass spread over the run.
+SETUP_EXTRA = 2
 #: Per-pass time limit; a pass takes 1-15 s on a 2-core machine.
 PASS_TIMEOUT = 150
 #: Scratch space inside the checkout (listed in ``.gitignore``).
@@ -71,13 +86,13 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
 
     passes: List[Dict[str, Any]] = []
     traced_flags: List[bool] = []
-    deadline = time.monotonic() + seconds
-    least = MIN_TRACED_PASSES if trace else MIN_PASSES
-    while len(passes) < MAX_PASSES and (len(passes) < least or time.monotonic() < deadline):
-        index = len(passes)
+    seeds: List[int] = []
+    setups: List[float] = []
+    for index in range(pass_count(workload, seconds, trace)):
         traced = trace and index % 2 == 1
         cache_dir = os.path.join(work, f"pass-{index}")
-        arguments = ["--workload", workload, "--seed", str(seed), "--cache-dir", cache_dir]
+        seeds.append(pass_seed(workload, seed, index, trace))
+        arguments = ["--workload", workload, "--seed", str(seeds[-1]), "--cache-dir", cache_dir]
         if traced:
             os.makedirs(SPANS_ROOT, exist_ok=True)
             arguments += ["--trace", "--spans", os.path.join(SPANS_ROOT, f"{workload}-seed{seed}.spans.jsonl")]
@@ -87,6 +102,13 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
         passes.append(_sweep(arguments, env))
         traced_flags.append(traced)
         shutil.rmtree(cache_dir, ignore_errors=True)
+        setups.append(passes[-1]["setup_s"])
+        for _ in range(SETUP_EXTRA):
+            setups.append(_sweep([
+                "--workload", workload, "--seed", str(seed), "--cache-dir", cache_dir,
+                "--setup-only", "--spawned-at", repr(time.monotonic()),
+            ], env)["setup_s"])
+            shutil.rmtree(cache_dir, ignore_errors=True)
 
     expected = None
     if workload == "batch":
@@ -94,18 +116,24 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
     attempted, failed = check(workload, passes, expected)
 
     untraced = [result for result, flag in zip(passes, traced_flags) if not flag]
+    untraced_seeds = [seed for seed, flag in zip(seeds, traced_flags) if not flag]
     # Every pass runs the same programs in the same order, so each program
-    # has one miss sample per pass and many hit samples.  The work is
-    # CPU-bound and deterministic, so noise only adds time: a program's
-    # latency is its fastest sample, which a host slowdown during part of
-    # the run does not reach.
+    # has one miss sample per pass and many hit samples per pass.  The work
+    # is CPU-bound and deterministic, so noise only adds time: a program's
+    # miss latency is its fastest pass, which a host slowdown during part of
+    # the run does not reach.  Its hit latency is its fastest hit at each
+    # seed the run sampled at, averaged over those seeds (one for every
+    # workload but those in ``PER_PASS_SEEDS``).
     miss = [min(samples) for samples in zip(*(result["miss_s"] for result in untraced))]
-    hit = [
-        min(value for result in untraced for value in result["hit_s"][index])
-        for index in range(len(miss))
-    ]
+    hit = []
+    for index in range(len(miss)):
+        fastest: Dict[int, float] = {}
+        for result, pass_seed_value in zip(untraced, untraced_seeds):
+            value = min(result["hit_s"][index])
+            fastest[pass_seed_value] = min(value, fastest.get(pass_seed_value, value))
+        hit.append(mean(fastest.values()))
     values: Dict[str, float] = {
-        "setup_s": median([result["setup_s"] for result in passes]),
+        "setup_s": median(setups),
         "wall_s": sum(miss),
         "peak_rss_mb": median([result["peak_rss_mb"] for result in untraced]),
         "ok_frac": 1.0 - failed / attempted,
@@ -129,13 +157,32 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
     return values, attempted, failed
 
 
+def pass_seed(workload: str, seed: int, index: int, trace: bool) -> int:
+    """The seed pass ``index`` runs at: the workload seed, or one derived
+    from it for :data:`PER_PASS_SEEDS` (a traced run gives each untraced
+    and traced pair the same seed, so their walls compare)."""
+    if workload not in PER_PASS_SEEDS:
+        return seed
+    return seed * 1000 + (index // 2 if trace else index)
+
+
+def pass_count(workload: str, seconds: float, trace: bool) -> int:
+    """Passes in a sweep run: a function of the arguments only.
+
+    A traced run alternates untraced and traced passes, at least one of
+    each.
+    """
+    untraced = max(MIN_PASSES, int(round(seconds / SECONDS_PER_PASS[workload])))
+    return 2 * max(1, untraced // 2) if trace else untraced
+
+
 def check(workload: str, passes: List[Dict[str, Any]], expected: Any) -> Tuple[int, int]:
     """Count programs checked and programs wrong, over every pass.
 
-    ``batch``: each report (cold and warm) equals the interpreted-engine
-    oracle.  ``validate``: every verdict is ``sound``.  ``tune``: every
-    status is ``tuned``, each winner passed re-certification, and every
-    pass (same seed) chose the same assignment.
+    ``batch``: each report (cold and warm) analyses cleanly and equals the
+    interpreted-engine oracle.  ``validate``: every verdict is ``sound``.
+    ``tune``: every status is ``tuned``, each winner passed
+    re-certification, and every pass (same seed) chose the same assignment.
     """
     attempted = failed = 0
     reference = passes[0]["outputs"]
@@ -144,7 +191,12 @@ def check(workload: str, passes: List[Dict[str, Any]], expected: Any) -> Tuple[i
             attempted += 1
             warm = result["hit_outputs"].get(name)
             if workload == "batch":
-                wrong = value != expected.get(name) or warm != expected.get(name)
+                # An error judgement is wrong even when the oracle agrees:
+                # the corpus is generated to type-check.
+                wrong = (
+                    value != expected.get(name) or warm != expected.get(name)
+                    or any(row[0] == "error" for row in value)
+                )
             elif workload == "validate":
                 wrong = value != "sound" or warm != "sound"
             else:

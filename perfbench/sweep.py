@@ -261,6 +261,7 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--recertify", action="store_true")
     parser.add_argument("--oracle", action="store_true", help="print the batch oracle and exit")
     parser.add_argument("--warmup", action="store_true", help="import everything and exit")
+    parser.add_argument("--setup-only", action="store_true", help="build the entry objects, print setup_s and exit")
     arguments = parser.parse_args(argv)
     spawned = arguments.spawned_at if arguments.spawned_at is not None else time.monotonic()
 
@@ -275,6 +276,10 @@ def main(argv: List[str]) -> int:
 
     workload = WORKLOADS[arguments.workload](arguments.seed, arguments.cache_dir)
     setup_s = time.monotonic() - spawned
+    if arguments.setup_only:
+        workload.close()
+        print(json.dumps({"setup_s": setup_s}))
+        return 0
     inputs = workload.inputs()
 
     rows: Dict[str, float] = {}

@@ -53,6 +53,31 @@ def test_generated_programs_analyse_cleanly():
     assert [report.error for report in result.reports if not report.ok] == []
 
 
+def test_an_error_judgement_is_wrong_even_when_the_oracle_agrees():
+    from perfbench import run
+
+    error = [["error", "unbound variable x"]]
+    good = [["f", "num", "eps", "1", "1"]]
+    passes = [{
+        "outputs": {"p0": error, "p1": good},
+        "hit_outputs": {"p0": error, "p1": good},
+        "problems": [],
+    }]
+    assert run.check("batch", passes, {"p0": error, "p1": good}) == (2, 1)
+
+
+def test_pass_count_and_seeds_depend_on_the_arguments_only():
+    from perfbench import run
+
+    assert [run.pass_count(workload, 15, False) for workload in ("batch", "validate", "tune")] == [3, 3, 2]
+    assert run.pass_count("batch", 60, False) == 12
+    assert run.pass_count("batch", 60, True) == 12
+    assert run.pass_count("validate", 1, True) == 2
+    assert [run.pass_seed("tune", 7, index, False) for index in range(3)] == [7, 7, 7]
+    assert [run.pass_seed("validate", 7, index, False) for index in range(3)] == [7000, 7001, 7002]
+    assert [run.pass_seed("validate", 7, index, True) for index in range(4)] == [7000, 7000, 7001, 7001]
+
+
 # -- self-time arithmetic --------------------------------------------------------
 
 
@@ -116,6 +141,29 @@ def test_exception_still_closes_the_span():
         timer.wrap("boom", boom)()
     assert timer.self_s == {"boom": 1.0}
     assert timer._stack == []
+
+
+def test_a_memo_shared_across_calls_is_counted_once():
+    from fractions import Fraction
+
+    from repro.core import ast as A
+    from repro.core import types as T
+    from repro.core.inference import JudgementMemo, infer
+
+    x = A.Rnd(A.Op("add", A.WithPair(A.Var("x"), A.Const(Fraction(1, 3)))))
+    term = A.intern_term(A.WithPair(x, x))
+    memo = JudgementMemo()
+    timer = layers.LayerTimer()
+    timer._hook_memo_resolution()
+    try:
+        infer(term, {"x": T.NUM}, memo=memo)
+        after_first = (memo.hits, memo.misses)
+        infer(term, {"x": T.NUM}, memo=memo)  # logged again, with warm counters
+    finally:
+        timer.uninstall()
+    assert len(timer.memo_log) == 2
+    assert memo.hits > after_first[0]
+    assert timer.memo_counts() == (memo.hits, memo.misses)
 
 
 # -- alias rebinding ---------------------------------------------------------------
@@ -192,3 +240,25 @@ def test_benchmark_json_lists_the_metrics_the_code_prints():
 def test_percentile_interpolates():
     assert metrics.percentile([1.0, 2.0, 3.0, 4.0, 5.0], 50) == 3.0
     assert metrics.percentile([0.0, 10.0], 99) == pytest.approx(9.9)
+
+
+def test_a_serve_error_report_is_wrong_even_when_the_oracle_agrees():
+    from perfbench import serve
+
+    error = {"ok": False, "error": "parse error"}
+    good = {"ok": True, "functions": [{"name": "f", "grade": "eps", "inference_seconds": 0.1}]}
+    assert serve.wrong({"status": "ok", "report": error}, serve._functions(error))
+    assert not serve.wrong({"status": "ok", "report": good}, [{"name": "f", "grade": "eps"}])
+    assert serve.wrong({"status": "error"}, [{"name": "f", "grade": "eps"}])
+
+
+def test_fastest_slices_keep_half_and_enough_misses(monkeypatch):
+    from perfbench import serve
+
+    monkeypatch.setattr(serve, "KEPT_MISSES", 3)
+    fast = [("hit", 0.001), ("miss", 0.01)]
+    slow = [("hit", 0.005), ("miss", 0.05)]
+    kept = serve.fastest_slices([slow, fast, slow, fast])
+    assert kept == {"hit": [0.001, 0.001, 0.005], "miss": [0.01, 0.01, 0.05]}
+    monkeypatch.setattr(serve, "KEPT_MISSES", 1)
+    assert serve.fastest_slices([slow, fast, slow, fast])["miss"] == [0.01, 0.01]
