@@ -23,9 +23,9 @@ import sys
 import tempfile
 import time
 from statistics import mean, median
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from .metrics import END_TO_END, per_layer, percentile, result_line
+from .metrics import END_TO_END, per_layer, result_line, smooth_percentile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -40,13 +40,15 @@ MIN_PASSES = 2
 #: (about 5 s each on a 2-vCPU x86-64 VM) and ``validate`` (about 7.5 s),
 #: two of ``tune`` (about 10 s).
 SECONDS_PER_PASS = {"batch": 5.0, "validate": 5.0, "tune": 7.5}
-#: Workloads whose passes each sample at a seed of their own, derived from
-#: the workload seed.  ``validate``'s cost moves with its sampling seed: the
-#: exact rationals of the sampled points set the size of each cached result,
-#: so one seed's largest entry (``table3::Horner20``, 13.5-16.6 KB over
-#: seeds 401-410) takes 2.3-3.4 ms to load.  Three seeds per run average
-#: that out of the latency percentiles.
-PER_PASS_SEEDS = ("validate",)
+#: ``validate`` samples its points at a pinned sampling seed per pass (the
+#: pass number, from 1), and the workload seed orders the subjects.  Its
+#: cost moves with the sampling seed: the exact rationals of the sampled
+#: points set the size of each result, so over sampling seeds 1-10 the
+#: largest subject (``table3::Horner20``) took 2.0-3.6 s to validate and
+#: 1.9-3.9 ms to load from the cache.  Drawn from the workload seed, the
+#: sampling seeds moved ``hit_p99_ms`` by 0.13 (interquartile range over
+#: median, ten runs of three seeds) on their own.
+SAMPLING_SEEDED = ("validate",)
 #: Set-up-only interpreters started after each pass, so ``setup_s`` is a
 #: median of ``1 + SETUP_EXTRA`` samples per pass spread over the run.
 SETUP_EXTRA = 2
@@ -86,13 +88,15 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
 
     passes: List[Dict[str, Any]] = []
     traced_flags: List[bool] = []
-    seeds: List[int] = []
+    seeds: List[Optional[int]] = []
     setups: List[float] = []
     for index in range(pass_count(workload, seconds, trace)):
         traced = trace and index % 2 == 1
         cache_dir = os.path.join(work, f"pass-{index}")
-        seeds.append(pass_seed(workload, seed, index, trace))
-        arguments = ["--workload", workload, "--seed", str(seeds[-1]), "--cache-dir", cache_dir]
+        seeds.append(sampling_seed(workload, index, trace))
+        arguments = ["--workload", workload, "--seed", str(seed), "--cache-dir", cache_dir]
+        if seeds[-1] is not None:
+            arguments += ["--sampling-seed", str(seeds[-1])]
         if traced:
             os.makedirs(SPANS_ROOT, exist_ok=True)
             arguments += ["--trace", "--spans", os.path.join(SPANS_ROOT, f"{workload}-seed{seed}.spans.jsonl")]
@@ -122,12 +126,13 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
     # is CPU-bound and deterministic, so noise only adds time: a program's
     # miss latency is its fastest pass, which a host slowdown during part of
     # the run does not reach.  Its hit latency is its fastest hit at each
-    # seed the run sampled at, averaged over those seeds (one for every
-    # workload but those in ``PER_PASS_SEEDS``).
+    # sampling seed of the run, averaged over those seeds (one for every
+    # workload but those in ``SAMPLING_SEEDED``).  Percentiles over programs
+    # are Harrell-Davis estimates (``smooth_percentile``).
     miss = [min(samples) for samples in zip(*(result["miss_s"] for result in untraced))]
     hit = []
     for index in range(len(miss)):
-        fastest: Dict[int, float] = {}
+        fastest: Dict[Optional[int], float] = {}
         for result, pass_seed_value in zip(untraced, untraced_seeds):
             value = min(result["hit_s"][index])
             fastest[pass_seed_value] = min(value, fastest.get(pass_seed_value, value))
@@ -139,8 +144,8 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
         "ok_frac": 1.0 - failed / attempted,
     }
     for kind, samples in (("hit", hit), ("miss", miss)):
-        values[f"{kind}_p50_ms"] = 1000.0 * percentile(samples, 50)
-        values[f"{kind}_p99_ms"] = 1000.0 * percentile(samples, 99)
+        values[f"{kind}_p50_ms"] = 1000.0 * smooth_percentile(samples, 50)
+        values[f"{kind}_p99_ms"] = 1000.0 * smooth_percentile(samples, 99)
     traced = sorted(
         (result for result, flag in zip(passes, traced_flags) if flag),
         key=lambda result: result["wall_s"],
@@ -157,13 +162,13 @@ def run_sweep(workload: str, seed: int, seconds: float, trace: bool, work: str) 
     return values, attempted, failed
 
 
-def pass_seed(workload: str, seed: int, index: int, trace: bool) -> int:
-    """The seed pass ``index`` runs at: the workload seed, or one derived
-    from it for :data:`PER_PASS_SEEDS` (a traced run gives each untraced
-    and traced pair the same seed, so their walls compare)."""
-    if workload not in PER_PASS_SEEDS:
-        return seed
-    return seed * 1000 + (index // 2 if trace else index)
+def sampling_seed(workload: str, index: int, trace: bool) -> Optional[int]:
+    """The sampling seed of pass ``index`` for :data:`SAMPLING_SEEDED`
+    workloads, else None (a traced run gives each untraced and traced pair
+    the same seed, so their walls compare)."""
+    if workload not in SAMPLING_SEEDED:
+        return None
+    return 1 + (index // 2 if trace else index)
 
 
 def pass_count(workload: str, seconds: float, trace: bool) -> int:

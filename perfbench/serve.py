@@ -43,31 +43,25 @@ CONNECTIONS = 2
 #: under test gets faster or slower and a change shows up as latency.
 MISS_CAPACITY = 180.0
 HIT_CAPACITY = 5400.0
-#: Open-loop arrival rates: misses at a third of miss capacity, and ten
-#: hits per miss.  The mix is a choice, not taken from observed traffic (no
-#: trace exists): repeats outnumber new programs, as for a cache worth
-#: having.  Hits use ~11 % of hit capacity, so the cluster runs at ~45 % of
-#: capacity and the latencies measure service plus the queueing of a
-#: cluster below saturation.
-MISS_RATE = MISS_CAPACITY / 3
-HIT_RATE = 10 * MISS_RATE
+#: Open-loop arrival rates: misses at a sixth of miss capacity, and two
+#: hits per miss (~1 % of hit capacity), so the cluster runs at under 20 %
+#: of capacity and the latencies measure the service path, not queueing
+#: bursts.  Heavier loads spread the p99s more from run to run (README,
+#: *Serve load*).  The mix is a choice, not taken from observed traffic (no
+#: trace exists).
+MISS_RATE = MISS_CAPACITY / 6
+HIT_RATE = 2 * MISS_RATE
 #: Cluster lifetimes per run (fresh start, fresh cache directory, untimed
 #: warm-up each), each measuring an equal part of the schedule;
-#: ``setup_s`` is the median of their starts.
-WINDOWS = 4
-#: The latency percentiles are taken over the requests of the faster half
-#: of the schedule's ``SLICE_S``-second slices, ranked by the median
-#: latency of each slice's requests.  On the 2-vCPU VM this was built on,
-#: the host slows the virtual CPU by up to 60 % for one second to half a
-#: minute and noise only adds time, so the slow slices are left out, as the
-#: sweeps keep a program's fastest pass.  A stall the program itself causes
-#: in more than half the slices still shows.
-SLICE_S = 0.5
-#: Misses kept at the least, so their p99 has ten samples beyond it; slices
-#: are kept past half until they hold this many.
-KEPT_MISSES = 1000
-#: Misses per run at the least: about twice ``KEPT_MISSES``.
-MIN_MISSES = 2100
+#: ``setup_s`` is the median of their starts.  A worker's full garbage
+#: collections pause it longer as its heap grows (13-32 ms in the first
+#: seconds, 117 ms after 40 s at this load), so short lifetimes keep those
+#: pauses short and alike, and more of them average out each lifetime's
+#: share of tail latency.
+WINDOWS = 6
+#: Misses per run at the least, so the miss p99 has twelve samples beyond
+#: it (40 s of schedule, under 7 s per lifetime).
+MIN_MISSES = 1200
 #: Never-seen programs sent before each window, untimed, so first-use code
 #: paths in both workers are not charged to the first misses measured.
 WARM_MISSES = 40
@@ -100,9 +94,35 @@ class Cluster:
                 raise RuntimeError(f"cluster answered its first request with {reply[:200]!r}")
             self.setup_s = time.monotonic() - self.spawned
             self.pids = self._tree()
+            self._pin_workers()
         except BaseException:
             self.stop()
             raise
+
+    def _pin_workers(self) -> None:
+        """Pin each worker, every thread of it, to a CPU of its own.
+
+        Left to the kernel, both workers sometimes share one CPU for a whole
+        lifetime, and a miss then waits behind the other worker's inference
+        as well as its own worker's: on a 2-vCPU VM, at four lifetimes per
+        run, ``miss_p99_ms`` read 22-37 ms over twelve runs unpinned and
+        18-21 ms over six runs pinned.  Threads a worker starts
+        later inherit the pin.  The router and this process stay unpinned.
+        A machine that refuses the call is measured unpinned.
+        """
+        cmdlines = {}
+        for pid in self.pids[1:]:
+            try:
+                with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                    cmdlines[pid] = handle.read()
+            except OSError:
+                continue
+        for pid, cpu in worker_pins(cmdlines, sorted(os.sched_getaffinity(0))).items():
+            try:
+                for thread in os.listdir(f"/proc/{pid}/task"):
+                    os.sched_setaffinity(int(thread), {cpu})
+            except OSError:
+                continue
 
     def _read_port(self) -> int:
         assert self.process.stdout is not None
@@ -171,6 +191,13 @@ class Cluster:
                 while _alive(pid):
                     time.sleep(0.05)
         self.log.close()
+
+
+def worker_pins(cmdlines: Dict[int, bytes], cpus: Sequence[int]) -> Dict[int, int]:
+    """``{worker pid: cpu}``, the workers (spawned ``spawn_main`` children,
+    not the resource tracker) in pid order over ``cpus`` in turn."""
+    workers = sorted(pid for pid, cmdline in cmdlines.items() if b"spawn_main" in cmdline)
+    return {pid: cpus[index % len(cpus)] for index, pid in enumerate(workers)}
 
 
 def _alive(pid: int) -> bool:
@@ -399,23 +426,6 @@ def oracle(programs: Sequence[Tuple[str, str]]) -> List[Any]:
     ]
 
 
-def fastest_slices(slices: List[List[Tuple[str, float]]]) -> Dict[str, List[float]]:
-    """Latencies by kind over the faster half of ``slices``.
-
-    Slices are ranked by the median latency of their requests and kept
-    fastest first until at least half of them, holding ``KEPT_MISSES``
-    misses or more, are in (or every slice is).
-    """
-    ranked = sorted((rows for rows in slices if rows), key=lambda rows: median(value for _kind, value in rows))
-    kept: Dict[str, List[float]] = {"hit": [], "miss": []}
-    for count, rows in enumerate(ranked):
-        if count >= len(ranked) / 2 and len(kept["miss"]) >= KEPT_MISSES:
-            break
-        for kind, value in rows:
-            kept[kind].append(value)
-    return kept
-
-
 def run(root: str, work: str, env: Dict[str, str], seed: int, seconds: float, trace: bool) -> Tuple[Dict[str, float], int, int]:
     """Measure one run; returns ``(metrics, attempted, failed)``.
 
@@ -467,8 +477,7 @@ def run(root: str, work: str, env: Dict[str, str], seed: int, seconds: float, tr
 
     expected = {"hit": oracle(hit_programs), "miss": oracle(miss_programs)}
     failed = 0
-    # ``(kind, latency)`` of the correct requests, per slice of the schedule.
-    slices: Dict[Tuple[int, int], List[Tuple[str, float]]] = {}
+    latencies: Dict[str, List[float]] = {"hit": [], "miss": []}
     traced: Dict[bool, List[float]] = {True: [], False: []}
     late = []
     route_s = []
@@ -482,8 +491,7 @@ def run(root: str, work: str, env: Dict[str, str], seed: int, seconds: float, tr
             if wrong(response, expected[kind][index]):
                 failed += 1
                 continue
-            slot = (window, int((due - part[0][2]) / SLICE_S))
-            slices.setdefault(slot, []).append((kind, received - due))
+            latencies[kind].append(received - due)
             if kind == "miss":
                 traced["trace" in response].append(received - due)
                 for span_row in response.get("trace", {}).get("spans", []):
@@ -496,7 +504,7 @@ def run(root: str, work: str, env: Dict[str, str], seed: int, seconds: float, tr
         "peak_rss_mb": rss,
         "ok_frac": 1.0 - failed / len(records),
     }
-    for kind, samples in fastest_slices(list(slices.values())).items():
+    for kind, samples in latencies.items():
         values[f"{kind}_p50_ms"] = 1000.0 * percentile(samples or [0.0], 50)
         values[f"{kind}_p99_ms"] = 1000.0 * percentile(samples or [0.0], 99)
     if trace:

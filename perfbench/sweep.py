@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import random
 import resource
 import sys
 import time
@@ -105,18 +106,23 @@ class Batch(Sweep):
 
 
 class Validate(Sweep):
-    """``ValidationEngine(jobs=1)`` over the pinned table3 + table5 suites."""
+    """``ValidationEngine(jobs=1)`` over the pinned table3 + table5 suites.
 
-    def __init__(self, seed: int, cache_dir: str) -> None:
+    The workload seed orders the subjects; the points are sampled at
+    ``sampling_seed`` (see ``run.SAMPLING_SEEDED``).
+    """
+
+    def __init__(self, seed: int, cache_dir: str, sampling_seed: int) -> None:
         from repro.validation.bench import suite_subjects
         from repro.validation.harness import ValidationEngine, ValidationOptions
 
         subjects, failures = suite_subjects(list(VALIDATE_SUITES))
         if failures:
             raise SystemExit(f"suite construction failed: {[f.name for f in failures]}")
+        random.Random(f"perfbench-validate-{seed}").shuffle(subjects)
         self.subjects = subjects
         self.engine_class = ValidationEngine
-        self.options = ValidationOptions(seed=seed)
+        self.options = ValidationOptions(seed=sampling_seed)
         super().__init__(seed, cache_dir)
 
     def make_runner(self, cache: Any) -> Any:
@@ -254,6 +260,7 @@ def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--sampling-seed", type=int, default=None, help="validate: sample points at this seed")
     parser.add_argument("--cache-dir", default="")
     parser.add_argument("--spawned-at", type=float, default=None)
     parser.add_argument("--trace", action="store_true")
@@ -274,7 +281,11 @@ def main(argv: List[str]) -> int:
         print(json.dumps({"oracle": batch_oracle(arguments.seed)}))
         return 0
 
-    workload = WORKLOADS[arguments.workload](arguments.seed, arguments.cache_dir)
+    if arguments.workload == "validate":
+        sampling_seed = arguments.seed if arguments.sampling_seed is None else arguments.sampling_seed
+        workload: Sweep = Validate(arguments.seed, arguments.cache_dir, sampling_seed)
+    else:
+        workload = WORKLOADS[arguments.workload](arguments.seed, arguments.cache_dir)
     setup_s = time.monotonic() - spawned
     if arguments.setup_only:
         workload.close()

@@ -73,9 +73,9 @@ def test_pass_count_and_seeds_depend_on_the_arguments_only():
     assert run.pass_count("batch", 60, False) == 12
     assert run.pass_count("batch", 60, True) == 12
     assert run.pass_count("validate", 1, True) == 2
-    assert [run.pass_seed("tune", 7, index, False) for index in range(3)] == [7, 7, 7]
-    assert [run.pass_seed("validate", 7, index, False) for index in range(3)] == [7000, 7001, 7002]
-    assert [run.pass_seed("validate", 7, index, True) for index in range(4)] == [7000, 7000, 7001, 7001]
+    assert [run.sampling_seed("tune", index, False) for index in range(3)] == [None, None, None]
+    assert [run.sampling_seed("validate", index, False) for index in range(3)] == [1, 2, 3]
+    assert [run.sampling_seed("validate", index, True) for index in range(4)] == [1, 1, 2, 2]
 
 
 # -- self-time arithmetic --------------------------------------------------------
@@ -242,6 +242,19 @@ def test_percentile_interpolates():
     assert metrics.percentile([0.0, 10.0], 99) == pytest.approx(9.9)
 
 
+def test_smooth_percentile_weighs_every_neighbour():
+    # Harrell-Davis: symmetric data give the middle, the weights sum to 1.
+    assert metrics.smooth_percentile([1.0, 2.0, 3.0, 4.0, 5.0], 50) == pytest.approx(3.0)
+    assert metrics.smooth_percentile([7.0] * 9, 99) == pytest.approx(7.0)
+    # A gap at the median: the plain percentile jumps with one program,
+    # the smooth one moves a little.
+    low = [40.0] * 10 + [69.0] + [150.0] * 10
+    high = [40.0] * 10 + [151.0] + [150.0] * 10
+    assert metrics.percentile(high, 50) - metrics.percentile(low, 50) == pytest.approx(81.0)
+    assert metrics.smooth_percentile(high, 50) - metrics.smooth_percentile(low, 50) < 81.0 / 4
+    assert metrics.smooth_percentile([1.0, 2.0, 3.0, 100.0], 99) > 90.0
+
+
 def test_a_serve_error_report_is_wrong_even_when_the_oracle_agrees():
     from perfbench import serve
 
@@ -252,13 +265,30 @@ def test_a_serve_error_report_is_wrong_even_when_the_oracle_agrees():
     assert serve.wrong({"status": "error"}, [{"name": "f", "grade": "eps"}])
 
 
-def test_fastest_slices_keep_half_and_enough_misses(monkeypatch):
+def test_worker_pins_give_each_worker_a_cpu_of_its_own():
     from perfbench import serve
 
-    monkeypatch.setattr(serve, "KEPT_MISSES", 3)
-    fast = [("hit", 0.001), ("miss", 0.01)]
-    slow = [("hit", 0.005), ("miss", 0.05)]
-    kept = serve.fastest_slices([slow, fast, slow, fast])
-    assert kept == {"hit": [0.001, 0.001, 0.005], "miss": [0.01, 0.01, 0.05]}
-    monkeypatch.setattr(serve, "KEPT_MISSES", 1)
-    assert serve.fastest_slices([slow, fast, slow, fast])["miss"] == [0.01, 0.01]
+    spawned = b"python\0-c\0from multiprocessing.spawn import spawn_main; spawn_main(tracker_fd=5)\0--multiprocessing-fork"
+    cmdlines = {
+        41: spawned,
+        43: spawned,
+        42: b"python\0-c\0from multiprocessing.resource_tracker import main;main(4)",
+        44: b"python\0-m\0repro\0serve",
+    }
+    assert serve.worker_pins(cmdlines, [0, 1]) == {41: 0, 43: 1}
+    assert serve.worker_pins(cmdlines, [3]) == {41: 3, 43: 3}
+
+
+def test_serve_schedule_is_seeded_and_holds_enough_misses():
+    from perfbench import serve
+
+    misses = serve.MIN_MISSES
+    span = misses / serve.MISS_RATE
+    hits = int(round(serve.HIT_RATE * span))
+    plan = serve.schedule(5, span, hits, misses, 7)
+    assert plan == serve.schedule(5, span, hits, misses, 7)
+    assert plan != serve.schedule(6, span, hits, misses, 7)
+    dues = [due for due, _kind, _index in plan]
+    assert dues == sorted(dues)
+    assert [index for _due, kind, index in plan if kind == "miss"] == list(range(misses))
+    assert misses // 100 >= 10  # ten misses beyond the p99
