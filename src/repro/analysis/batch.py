@@ -42,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import LnumError
 from ..core.inference import InferenceConfig
+from ..floats.exactmath import exact_str
 from ..obs.instrument import Instrumentation
 from .analyzer import ErrorAnalysis, analyze_program, analyze_term
 from .cache import AnalysisCache, CacheStats, source_key
@@ -147,7 +148,7 @@ class ProgramReport:
                     "relative_error_bound_exact": (
                         None
                         if analysis.relative_error_bound is None
-                        else str(analysis.relative_error_bound)
+                        else exact_str(analysis.relative_error_bound)
                     ),
                     "operations": analysis.operations,
                     "inference_seconds": analysis.inference_seconds,

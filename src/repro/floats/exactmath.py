@@ -8,18 +8,22 @@ resolve for ratios near 1.  This module provides:
 * :func:`floor_log2` — exact ``⌊log2 x⌋`` of a positive rational;
 * :func:`sqrt_round` — the square root of a positive rational correctly
   rounded to ``p`` significant bits in any IEEE rounding direction;
-* :func:`log_enclosure` — a rational interval guaranteed to contain ``ln x``;
-* :func:`log_ratio_enclosure` — a rational interval containing ``ln(a/b)``;
+* :func:`log_enclosure` — a dyadic interval guaranteed to contain ``ln x``;
+* :func:`log_ratio_enclosure` — a dyadic interval containing ``ln(a/b)``;
+* :func:`rp_distance_enclosure` — a dyadic interval containing ``RP(x, y)``;
 * :func:`exp_enclosure` — a rational interval containing ``exp x``;
 * :func:`expm1_upper` / :func:`expm1_lower` — rational bounds on ``e^x - 1``
   used to convert RP bounds into relative-error bounds (Equation (8)).
 
 Every bound returned here is *rigorous*: truncation errors of the underlying
-series are accounted for with explicit rational remainder terms.
+series are accounted for with explicit rational remainder terms.  The
+logarithms are summed in fixed-point integers whose every rounding is
+directed outward, so their enclosures are dyadic rationals.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -35,6 +39,7 @@ __all__ = [
     "expm1_upper",
     "expm1_lower",
     "rp_distance_enclosure",
+    "exact_str",
     "DEFAULT_SERIES_TERMS",
 ]
 
@@ -62,6 +67,20 @@ def floor_log2(value: Fraction) -> int:
     while _pow2(estimate) > value:
         estimate -= 1
     return estimate
+
+
+def exact_str(value: Fraction) -> str:
+    """``str(Fraction(value))`` without CPython's int→str digit limit.
+
+    Exact ideal values and their error bounds can carry tens of thousands
+    of digits, past the 4300-digit cap ``str(int)`` enforces; ``Decimal``
+    converts an integer exactly and is not capped.
+    """
+    value = Fraction(value)
+    text = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return text
+    return f"{text}/{Decimal(value.denominator)}"
 
 
 # ---------------------------------------------------------------------------
@@ -153,95 +172,132 @@ def sqrt_round(value: Fraction, precision: int = 256, mode: str = "RN") -> Fract
 # Rigorous enclosures of ln and exp
 # ---------------------------------------------------------------------------
 
-# ln 2 enclosure computed lazily from the atanh series at t = 2.
-_LN2_CACHE: Tuple[Fraction, Fraction] | None = None
+#: Bits kept below the leading bit of ``z`` in ``ln t = 2 atanh(z)``: 256
+#: significant bits plus 8 that absorb the outward rounding of up to ~60
+#: series terms, so an enclosure's width stays below ``2^-256`` relative to
+#: the logarithm however close to 1 the ratio is.
+_GUARD_BITS = 264
+
+#: Fixed scale (units of ``2^-_LN2_SCALE``) of the cached ln 2 enclosure.
+_LN2_SCALE = 320
 
 
-def _atanh_series_enclosure(z: Fraction, terms: int) -> Tuple[Fraction, Fraction]:
-    """Enclosure of ``atanh(z) = Σ_{k odd} z^k / k`` for ``|z| < 1``."""
-    if not (-1 < z < 1):
-        raise ValueError("atanh series requires |z| < 1")
-    total = Fraction(0)
-    power = z
-    z_squared = z * z
-    k = 1
-    for _ in range(terms):
-        total += power / k
-        power *= z_squared
-        k += 2
-    # Remainder: |Σ_{j >= k, odd} z^j / j| <= |z|^k / (k (1 - z^2)).
-    remainder = abs(power) / (k * (1 - z_squared))
-    if z >= 0:
-        return total, total + remainder
-    return total - remainder, total
+def _atanh_scaled(numerator: int, denominator: int, scale: int) -> Tuple[int, int]:
+    """``(lo, hi)`` with ``lo <= 2^scale · atanh(z) <= hi`` for ``0 < z = n/d < 1``.
 
-
-def _ln2_enclosure(terms: int = DEFAULT_SERIES_TERMS) -> Tuple[Fraction, Fraction]:
-    global _LN2_CACHE
-    if _LN2_CACHE is None:
-        # ln 2 = 2 atanh(1/3)
-        low, high = _atanh_series_enclosure(Fraction(1, 3), terms)
-        _LN2_CACHE = (2 * low, 2 * high)
-    return _LN2_CACHE
-
-
-def log_enclosure(value: Fraction, terms: int = DEFAULT_SERIES_TERMS) -> Tuple[Fraction, Fraction]:
-    """A rational interval ``[lo, hi]`` with ``lo <= ln(value) <= hi``.
-
-    Memoized: soundness sweeps evaluate the same handful of ratios (ideal
-    vs floating-point values of a benchmark) thousands of times, and the
-    atanh series over exact rationals is by far the dominating cost.
+    ``z`` is first rounded outward to the grid ``2^-scale``.  atanh is
+    increasing, so summing ``Σ_{k odd} w^k / k`` at the low end point with
+    every product rounded down gives a lower bound, and at the high end point
+    with every product rounded up, plus the tail ``w^k / (k (1 - w^2))``, an
+    upper bound.  Only shifts and small divisions run inside the loop.
     """
-    return _log_enclosure_cached(Fraction(value), terms)
+    twice = 2 * scale
+    z_low = (numerator << scale) // denominator
+    z_high = -((-numerator << scale) // denominator)
+    square_low, square_high = z_low * z_low, z_high * z_high
+    low = high = 0
+    power_low, power_high, k = z_low, z_high, 1
+    while True:
+        low += power_low // k
+        high += -(-power_high // k)
+        k += 2
+        power_low = (power_low * square_low) >> twice
+        power_high = -((-power_high * square_high) >> twice)
+        if power_high <= 1:
+            break
+    tail_den = k * ((1 << twice) - square_high)
+    high += -(-(power_high << twice) // tail_den)
+    return low, high
+
+
+# ln 2 = 2 atanh(1/3), computed once.
+_LN2 = tuple(2 * bound for bound in _atanh_scaled(1, 3, _LN2_SCALE))
+
+
+def _log_ratio(numerator: int, denominator: int) -> Tuple[Fraction, Fraction]:
+    """A dyadic interval containing ``ln(numerator / denominator)``, both > 0.
+
+    The integers are used as given (no gcd): argument reduction shifts them
+    to ``2^k · t`` with ``t`` in ``[3/4, 3/2)`` by bit lengths, and
+    ``ln t = 2 atanh((n' - d') / (n' + d'))`` is summed in fixed point.
+    """
+    if numerator <= 0 or denominator <= 0:
+        raise ValueError("the logarithm requires a positive argument")
+    k = numerator.bit_length() - denominator.bit_length()
+    if k >= 0:
+        denominator <<= k
+    else:
+        numerator <<= -k
+    # Now t = numerator / denominator lies in [1/2, 2).
+    if 2 * numerator >= 3 * denominator:
+        denominator <<= 1
+        k += 1
+    elif 4 * numerator < 3 * denominator:
+        numerator <<= 1
+        k -= 1
+    z_num, z_den = numerator - denominator, numerator + denominator
+    low = high = scale = 0
+    if z_num:
+        # |z| <= 1/5; the scale tracks |z| so the width is relative to it.
+        scale = _GUARD_BITS + z_den.bit_length() - abs(z_num).bit_length()
+        low, high = _atanh_scaled(abs(z_num), z_den, scale)
+        low, high = 2 * low, 2 * high
+        if z_num < 0:
+            low, high = -high, -low
+    if k:
+        top = max(scale, _LN2_SCALE)
+        low <<= top - scale
+        high <<= top - scale
+        ln2_low, ln2_high = (bound << (top - _LN2_SCALE) for bound in _LN2)
+        if k > 0:
+            low, high = low + k * ln2_low, high + k * ln2_high
+        else:
+            low, high = low + k * ln2_high, high + k * ln2_low
+        scale = top
+    return Fraction(low, 1 << scale), Fraction(high, 1 << scale)
+
+
+def log_enclosure(value: Fraction) -> Tuple[Fraction, Fraction]:
+    """A dyadic interval ``[lo, hi]`` with ``lo <= ln(value) <= hi``.
+
+    The width is below ``2^-256`` relative to ``ln(value)``.  Memoized:
+    soundness sweeps evaluate the same handful of ratios (ideal vs
+    floating-point values of a benchmark) thousands of times.
+    """
+    return _log_enclosure_cached(Fraction(value))
 
 
 @lru_cache(maxsize=16384)
-def _log_enclosure_cached(value: Fraction, terms: int) -> Tuple[Fraction, Fraction]:
+def _log_enclosure_cached(value: Fraction) -> Tuple[Fraction, Fraction]:
     if value <= 0:
         raise ValueError("log_enclosure requires a positive argument")
-    # Argument reduction: value = 2^k * t with t in [3/4, 3/2).
-    k = 0
-    t = value
-    while t >= Fraction(3, 2):
-        t /= 2
-        k += 1
-    while t < Fraction(3, 4):
-        t *= 2
-        k -= 1
-    # ln t = 2 atanh((t - 1) / (t + 1))
-    z = (t - 1) / (t + 1)
-    low_t, high_t = _atanh_series_enclosure(z, terms)
-    low_t, high_t = 2 * low_t, 2 * high_t
-    ln2_low, ln2_high = _ln2_enclosure(terms)
-    if k >= 0:
-        return low_t + k * ln2_low, high_t + k * ln2_high
-    return low_t + k * ln2_high, high_t + k * ln2_low
+    return _log_ratio(value.numerator, value.denominator)
 
 
-def log_ratio_enclosure(
-    numerator: Fraction, denominator: Fraction, terms: int = DEFAULT_SERIES_TERMS
-) -> Tuple[Fraction, Fraction]:
-    """A rational interval containing ``ln(numerator / denominator)``."""
-    ratio = Fraction(numerator) / Fraction(denominator)
-    return log_enclosure(ratio, terms)
+def log_ratio_enclosure(numerator: Fraction, denominator: Fraction) -> Tuple[Fraction, Fraction]:
+    """A dyadic interval containing ``ln(numerator / denominator)``."""
+    a, b = Fraction(numerator), Fraction(denominator)
+    top, bottom = a.numerator * b.denominator, a.denominator * b.numerator
+    if bottom < 0:
+        top, bottom = -top, -bottom
+    return _log_ratio(top, bottom)
 
 
-def rp_distance_enclosure(
-    x: Fraction, y: Fraction, terms: int = DEFAULT_SERIES_TERMS
-) -> Tuple[Fraction, Fraction]:
-    """A rational interval containing ``RP(x, y) = |ln(x / y)|`` for ``x, y > 0``.
+def rp_distance_enclosure(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
+    """A dyadic interval containing ``RP(x, y) = |ln(x / y)|`` for ``x, y > 0``.
 
     Memoized (the arguments are normalized to :class:`Fraction`, which
     hashes by exact value, so equal distances always share one entry).
     """
-    return _rp_distance_cached(Fraction(x), Fraction(y), terms)
+    return _rp_distance_cached(Fraction(x), Fraction(y))
 
 
 @lru_cache(maxsize=16384)
-def _rp_distance_cached(x: Fraction, y: Fraction, terms: int) -> Tuple[Fraction, Fraction]:
+def _rp_distance_cached(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
     if x <= 0 or y <= 0:
         raise ValueError("the RP metric requires strictly positive values")
-    low, high = log_ratio_enclosure(x, y, terms)
+    # ln(x / y) from the cross products, without forming the quotient.
+    low, high = _log_ratio(x.numerator * y.denominator, x.denominator * y.numerator)
     if low >= 0:
         return low, high
     if high <= 0:

@@ -36,7 +36,7 @@ from ..core.semantics.evaluator import (
 )
 from ..core.semantics.randomized import stochastic_rounder
 from ..core.signature import standard_signature
-from ..floats.exactmath import rp_distance_enclosure
+from ..floats.exactmath import exact_str, rp_distance_enclosure
 from ..floats.formats import STANDARD_FORMATS
 from ..floats.rounding import RoundingMode, round_to_precision
 from ..validation.harness import ValidationSubject, _lift_argument, _sample_inputs
@@ -82,7 +82,7 @@ class MixedSummary:
             "runs": self.runs,
             "max_relative_error": float(self.max_rel),
             "max_rp": float(self.max_rp),
-            "max_rp_exact": str(self.max_rp),
+            "max_rp_exact": exact_str(self.max_rp),
             "rounding_slack": float(self.rounding_slack),
             "max_sqrt_calls": self.max_sqrt_calls,
             "seconds": self.seconds,

@@ -32,6 +32,7 @@ from ..core.errors import LnumError
 from ..core.grades import DEFAULT_REGISTRY, Grade
 from ..core.inference import InferenceConfig, enumerate_rnd_sites
 from ..core.signature import IDEAL_SQRT_RP_SLACK
+from ..floats.exactmath import exact_str
 from ..validation.harness import ValidationSubject, subjects_from_item
 from ..validation.sampling import SampleOptions
 from .assignment import (
@@ -190,7 +191,7 @@ class CandidateCertificate:
             "formats": list(self.formats),
             "stochastic": self.stochastic,
             "rp_bound": None if self.rp_bound is None else float(self.rp_bound),
-            "rp_bound_exact": None if self.rp_bound is None else str(self.rp_bound),
+            "rp_bound_exact": None if self.rp_bound is None else exact_str(self.rp_bound),
             "sound": self.sound,
             "empirical_ok": self.empirical_ok,
             "max_rp": float(self.max_rp),
@@ -506,12 +507,12 @@ class SubjectTuning:
             "status": self.status,
             "sites": self.sites,
             "target": None if self.target is None else float(self.target),
-            "target_exact": None if self.target is None else str(self.target),
+            "target_exact": None if self.target is None else exact_str(self.target),
             "baseline_rp": None if self.baseline_rp is None else float(self.baseline_rp),
             "certified_rp": None if self.certified_rp is None else float(self.certified_rp),
             "certified_rp_exact": None
             if self.certified_rp is None
-            else str(self.certified_rp),
+            else exact_str(self.certified_rp),
             "assignment": None if self.assignment is None else self.assignment.to_dict(),
             "non_uniform": self.non_uniform,
             "cost": self.cost,

@@ -36,6 +36,7 @@ from ..baselines.fptaylor_like import FPTaylorLikeAnalyzer
 from ..baselines.gappa_like import BaselineResult, GappaLikeAnalyzer
 from ..baselines.standard_bounds import gamma
 from ..core.inference import InferenceConfig
+from ..floats.exactmath import exact_str
 from ..floats.formats import BINARY64, FloatFormat
 from ..floats.rounding import RoundingMode
 from ..frontend import expr as E
@@ -92,7 +93,7 @@ class BackendBound:
                 None if self.relative_error is None else float(self.relative_error)
             ),
             "relative_error_exact": (
-                None if self.relative_error is None else str(self.relative_error)
+                None if self.relative_error is None else exact_str(self.relative_error)
             ),
             "rp_bound": None if self.rp_bound is None else float(self.rp_bound),
             "seconds": self.seconds,

@@ -40,7 +40,7 @@ from ..core.semantics.evaluator import (
 )
 from ..core.semantics.randomized import stochastic_rounder
 from ..core.signature import Operation, Signature, standard_signature
-from ..floats.exactmath import rp_distance_enclosure
+from ..floats.exactmath import exact_str, rp_distance_enclosure
 from ..floats.rounding import RoundingMode, round_to_precision
 
 __all__ = [
@@ -116,9 +116,9 @@ class EmpiricalSummary:
             "points": self.points,
             "runs": self.runs,
             "max_relative_error": float(self.max_rel),
-            "max_relative_error_exact": str(self.max_rel),
+            "max_relative_error_exact": exact_str(self.max_rel),
             "max_rp": float(self.max_rp),
-            "max_rp_exact": str(self.max_rp),
+            "max_rp_exact": exact_str(self.max_rp),
             "worst_inputs": {
                 name: str(value) for name, value in self.worst_inputs.items()
             },

@@ -1,11 +1,14 @@
 """Tests for the exact rational arithmetic helpers (sqrt, log, exp enclosures)."""
 
+import json
 import math
 from fractions import Fraction
+from typing import Optional, Tuple
 
 from hypothesis import given, settings, strategies as st
 
 from repro.floats.exactmath import (
+    exact_str,
     exp_enclosure,
     expm1_lower,
     expm1_upper,
@@ -162,3 +165,158 @@ class TestExpEnclosures:
         # Equation (8): eps = e^alpha - 1 <= alpha / (1 - alpha).
         alpha = Fraction(3, 2**52)
         assert expm1_upper(alpha) <= alpha / (1 - alpha)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the exact ``Fraction`` atanh series the fixed-point log path replaced
+# ---------------------------------------------------------------------------
+
+ORACLE_TERMS = 40
+
+# ln 2 enclosure computed lazily from the atanh series at t = 2.
+_LN2_CACHE: Optional[Tuple[Fraction, Fraction]] = None
+
+
+def _atanh_series_enclosure(z: Fraction, terms: int) -> Tuple[Fraction, Fraction]:
+    """Enclosure of ``atanh(z) = Σ_{k odd} z^k / k`` for ``|z| < 1``."""
+    if not (-1 < z < 1):
+        raise ValueError("atanh series requires |z| < 1")
+    total = Fraction(0)
+    power = z
+    z_squared = z * z
+    k = 1
+    for _ in range(terms):
+        total += power / k
+        power *= z_squared
+        k += 2
+    # Remainder: |Σ_{j >= k, odd} z^j / j| <= |z|^k / (k (1 - z^2)).
+    remainder = abs(power) / (k * (1 - z_squared))
+    if z >= 0:
+        return total, total + remainder
+    return total - remainder, total
+
+
+def _ln2_enclosure(terms: int = ORACLE_TERMS) -> Tuple[Fraction, Fraction]:
+    global _LN2_CACHE
+    if _LN2_CACHE is None:
+        # ln 2 = 2 atanh(1/3)
+        low, high = _atanh_series_enclosure(Fraction(1, 3), terms)
+        _LN2_CACHE = (2 * low, 2 * high)
+    return _LN2_CACHE
+
+
+def oracle_log_enclosure(value: Fraction, terms: int = ORACLE_TERMS) -> Tuple[Fraction, Fraction]:
+    """``ln(value)`` by argument reduction and the exact series above."""
+    if value <= 0:
+        raise ValueError("log_enclosure requires a positive argument")
+    # Argument reduction: value = 2^k * t with t in [3/4, 3/2).
+    k = 0
+    t = value
+    while t >= Fraction(3, 2):
+        t /= 2
+        k += 1
+    while t < Fraction(3, 4):
+        t *= 2
+        k -= 1
+    # ln t = 2 atanh((t - 1) / (t + 1))
+    z = (t - 1) / (t + 1)
+    low_t, high_t = _atanh_series_enclosure(z, terms)
+    low_t, high_t = 2 * low_t, 2 * high_t
+    ln2_low, ln2_high = _ln2_enclosure(terms)
+    if k >= 0:
+        return low_t + k * ln2_low, high_t + k * ln2_high
+    return low_t + k * ln2_high, high_t + k * ln2_low
+
+
+def oracle_rp_distance(x: Fraction, y: Fraction) -> Tuple[Fraction, Fraction]:
+    low, high = oracle_log_enclosure(x / y)
+    if low >= 0:
+        return low, high
+    if high <= 0:
+        return -high, -low
+    return Fraction(0), max(-low, high)
+
+
+def _assert_agrees_with_oracle(enclosure, oracle):
+    low, high = enclosure
+    oracle_low, oracle_high = oracle
+    assert low <= high
+    # (a) both enclose the same real number, so they intersect.
+    assert low <= oracle_high and oracle_low <= high
+    # (b) the fixed-point width is relative to the value, however small.
+    assert high - low <= Fraction(1, 2**250) * max(abs(low), abs(high))
+    # (c) the reported float is the same.
+    assert float(high) == float(oracle_high)
+
+
+HALF_ULP = Fraction(1, 2**52)
+
+#: ``x · (1 + j·2^-52)`` — the ratios an RP distance sees for a float result.
+near_one_pairs = st.tuples(
+    st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(10**9)).filter(lambda q: q > 0),
+    st.integers(min_value=-64, max_value=64),
+)
+
+#: Rationals with 200–900-bit numerators and denominators (exact ideal values).
+wide_rationals = st.builds(
+    lambda num_bits, den_bits, a, b: Fraction(
+        (a % (1 << num_bits)) | (1 << (num_bits - 1)), (b % (1 << den_bits)) | (1 << (den_bits - 1))
+    ),
+    st.integers(min_value=200, max_value=900),
+    st.integers(min_value=200, max_value=900),
+    st.integers(min_value=0, max_value=(1 << 900) - 1),
+    st.integers(min_value=0, max_value=(1 << 900) - 1),
+)
+
+#: Arguments whose reduction ``2^k · t`` has ``k ≠ 0``.
+scaled_arguments = st.builds(
+    lambda base, j: base * (1 + j * HALF_ULP),
+    st.sampled_from([Fraction(3), Fraction(1, 3), Fraction(2**60), Fraction(1, 2**60)]),
+    st.integers(min_value=-64, max_value=64),
+)
+
+
+class TestFixedPointLogAgainstOracle:
+    @given(pair=near_one_pairs)
+    @settings(max_examples=40, deadline=None)
+    def test_near_one_ratios(self, pair):
+        x, j = pair
+        y = x * (1 + j * HALF_ULP)
+        _assert_agrees_with_oracle(log_enclosure(y / x), oracle_log_enclosure(y / x))
+        if j:
+            _assert_agrees_with_oracle(rp_distance_enclosure(x, y), oracle_rp_distance(x, y))
+        # (d) equal points are exactly zero apart.
+        assert rp_distance_enclosure(x, x) == (0, 0)
+
+    @given(x=wide_rationals, y=wide_rationals)
+    @settings(max_examples=15, deadline=None)
+    def test_wide_rationals(self, x, y):
+        _assert_agrees_with_oracle(log_enclosure(x), oracle_log_enclosure(x))
+        if x != y:
+            _assert_agrees_with_oracle(rp_distance_enclosure(x, y), oracle_rp_distance(x, y))
+        assert rp_distance_enclosure(y, y) == (0, 0)
+
+    @given(value=scaled_arguments)
+    @settings(max_examples=40, deadline=None)
+    def test_reduced_arguments(self, value):
+        _assert_agrees_with_oracle(log_enclosure(value), oracle_log_enclosure(value))
+        _assert_agrees_with_oracle(log_enclosure(1 / value), oracle_log_enclosure(1 / value))
+        assert rp_distance_enclosure(value, value) == (0, 0)
+
+    def test_enclosures_are_dyadic(self):
+        low, high = rp_distance_enclosure(Fraction(1, 3), Fraction(1, 3) * (1 + HALF_ULP))
+        for bound in (low, high):
+            assert bound.denominator & (bound.denominator - 1) == 0
+
+
+class TestExactStr:
+    def test_matches_str_below_the_digit_cap(self):
+        for value in (Fraction(0), Fraction(-3, 7), Fraction(12345), Fraction(1, 2**300)):
+            assert exact_str(value) == str(value)
+
+    def test_writes_past_the_digit_cap(self):
+        value = Fraction(1, 7**6000)
+        text = exact_str(value)
+        assert len(text) > 5000
+        assert text.startswith("1/")
+        assert json.loads(json.dumps({"exact": text}))["exact"] == text

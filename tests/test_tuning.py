@@ -106,6 +106,49 @@ class TestAssignment:
 # ---------------------------------------------------------------------------
 
 
+def test_table5_tuning_matches_the_committed_bench_report():
+    """Re-tuning two table5 programs at seed 0 reproduces BENCH_tuning.json's rows."""
+    from repro.validation.bench import suite_subjects
+
+    with open(os.path.join(os.path.dirname(os.path.dirname(EXAMPLES)), "BENCH_tuning.json")) as handle:
+        committed = {row["name"]: row for row in json.load(handle)["programs"]}
+    wanted = {"table5::squareRoot3", "table5::HammarlingDistance"}
+    subjects, _failures = suite_subjects(["table5"])
+    subjects = [subject for subject in subjects if subject.name in wanted]
+    with PrecisionTuner(jobs=1, options=TuningOptions(seed=0)) as tuner:
+        result = tuner.tune_subjects(subjects)
+    assert {report.name for report in result.reports} == wanted
+    for report in result.reports:
+        row = committed[report.name]
+        assert report.assignment.counts() == row["assignment"]
+        assert float(report.certified_rp) == row["certified_rp"]
+        assert report.cost_reduction == row["cost_reduction"]
+
+
+def test_to_dict_writes_exact_fields_past_the_int_digit_cap():
+    from repro.tuning.empirical import MixedSummary
+    from repro.tuning.search import CandidateCertificate, SubjectTuning
+
+    huge = Fraction(1, 7**6000)  # a 5,071-digit denominator
+    payloads = (
+        MixedSummary(
+            ok=True, points=1, runs=1, max_rel=huge, max_rp=huge,
+            rounding_slack=huge, max_sqrt_calls=0, seconds=0.0,
+        ).to_dict(),
+        CandidateCertificate(
+            formats=("binary64",), stochastic=False, rp_bound=huge, sound=True,
+            empirical_ok=True, max_rp=huge, slack=huge, seconds=0.0,
+        ).to_dict(),
+        SubjectTuning(
+            name="p", kind="bench", status="tuned", target=huge, certified_rp=huge
+        ).to_dict(),
+    )
+    for payload in payloads:
+        decoded = json.loads(json.dumps(payload))
+        exact = [value for key, value in decoded.items() if key.endswith("_exact")]
+        assert exact and all(len(value) > 5000 for value in exact)
+
+
 class TestSiteGrades:
     def test_site_grades_override_the_uniform_grade(self):
         subject = subject_named(FMA_SOURCE)

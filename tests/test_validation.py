@@ -540,6 +540,40 @@ class TestStochasticSummarySatellite:
             stochastic_error_statistics(parse_term("rnd x"), None, samples=0)
 
 
+def test_table5_matches_the_committed_bench_report():
+    """Re-validating table5 at seed 0 reproduces BENCH_validation.json's rows."""
+    import json
+
+    from repro.validation.bench import suite_subjects
+
+    with open(os.path.join(os.path.dirname(os.path.dirname(EXAMPLES)), "BENCH_validation.json")) as handle:
+        committed = {row["name"]: row for row in json.load(handle)["programs"]}
+    subjects, failures = suite_subjects(["table5"])
+    assert not failures
+    with ValidationEngine(jobs=1, options=ValidationOptions(seed=0)) as engine:
+        result = engine.validate_subjects(subjects)
+    assert len(result.reports) == 4
+    for report in result.reports:
+        row = committed[report.name]
+        assert report.verdict == row["verdict"]
+        assert float(report.empirical.max_rp) == row["empirical_max_rp"]
+        assert float(report.empirical.max_rel) == row["empirical_max_rel"]
+        assert report.empirical.worst_mode == row["worst_mode"]
+
+
+def test_to_dict_writes_exact_fields_past_the_int_digit_cap():
+    import json
+
+    huge = Fraction(1, 7**6000)  # a 5,071-digit denominator
+    for payload in (
+        _empirical(huge).to_dict(),
+        BackendBound(backend="gappa_like", relative_error=huge).to_dict(),
+    ):
+        decoded = json.loads(json.dumps(payload))
+        exact = [value for key, value in decoded.items() if key.endswith("_exact")]
+        assert exact and all(len(value) > 5000 for value in exact)
+
+
 def test_default_backends_filter():
     backends = default_backends(names=["lnum", "gappa_like"])
     assert [backend.name for backend in backends] == ["lnum", "gappa_like"]
