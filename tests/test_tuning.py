@@ -110,7 +110,8 @@ def test_table5_tuning_matches_the_committed_bench_report():
     """Re-tuning two table5 programs at seed 0 reproduces BENCH_tuning.json's rows."""
     from repro.validation.bench import suite_subjects
 
-    with open(os.path.join(os.path.dirname(os.path.dirname(EXAMPLES)), "BENCH_tuning.json")) as handle:
+    path = os.path.join(os.path.dirname(os.path.dirname(EXAMPLES)), "BENCH_tuning.json")
+    with open(path) as handle:
         committed = {row["name"]: row for row in json.load(handle)["programs"]}
     wanted = {"table5::squareRoot3", "table5::HammarlingDistance"}
     subjects, _failures = suite_subjects(["table5"])

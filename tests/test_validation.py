@@ -546,7 +546,8 @@ def test_table5_matches_the_committed_bench_report():
 
     from repro.validation.bench import suite_subjects
 
-    with open(os.path.join(os.path.dirname(os.path.dirname(EXAMPLES)), "BENCH_validation.json")) as handle:
+    path = os.path.join(os.path.dirname(os.path.dirname(EXAMPLES)), "BENCH_validation.json")
+    with open(path) as handle:
         committed = {row["name"]: row for row in json.load(handle)["programs"]}
     subjects, failures = suite_subjects(["table5"])
     assert not failures
