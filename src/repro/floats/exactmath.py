@@ -269,8 +269,6 @@ def log_enclosure(value: Fraction) -> Tuple[Fraction, Fraction]:
 
 @lru_cache(maxsize=16384)
 def _log_enclosure_cached(value: Fraction) -> Tuple[Fraction, Fraction]:
-    if value <= 0:
-        raise ValueError("log_enclosure requires a positive argument")
     return _log_ratio(value.numerator, value.denominator)
 
 
