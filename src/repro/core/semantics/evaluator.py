@@ -77,19 +77,14 @@ class EvaluationConfig:
     rounding: RoundingMode = RoundingMode.TOWARD_POSITIVE
     exceptional: bool = False
     fmt: FloatFormat = BINARY64
-    #: Optional custom rounding function overriding the standard model.
-    rounder: Optional[Callable[[Fraction], Fraction]] = None
-    #: Optional per-occurrence rounding: called as ``site_rounder(node, value)``
-    #: with the ``A.Rnd`` node being evaluated, it lets mixed-precision runs
-    #: round each site in its own format (the tuner evaluates *unshared*
-    #: trees, so node identity names the occurrence).  Takes precedence over
-    #: ``rounder``.
-    site_rounder: Optional[Callable[[A.Rnd, Fraction], Fraction]] = None
+    #: Optional custom rounding overriding the standard model: called as
+    #: ``rounder(node, value)`` with the ``A.Rnd`` node being evaluated, so
+    #: mixed-precision runs can round each site in its own format (the tuner
+    #: evaluates *unshared* trees, so node identity names the occurrence).
+    rounder: Optional[Callable[[A.Rnd, Fraction], Fraction]] = None
 
     def round(self, value: Fraction) -> Value:
-        """Apply the rounding operator ρ (or ρ*) and wrap the result."""
-        if self.rounder is not None:
-            return NumV(self.rounder(value))
+        """Apply the standard-model rounding operator ρ (or ρ*) and wrap the result."""
         if self.exceptional:
             result = round_to_format(value, self.fmt, self.rounding)
             if result.value is None or result.is_exceptional:
@@ -165,8 +160,8 @@ def _eval(term: A.Term, env: Environment, config: EvaluationConfig) -> Value:
             raise EvaluationError(f"rnd applied to a non-numeric value {inner!r}")
         if config.mode == "ideal":
             return MonadicV(inner)
-        if config.site_rounder is not None:
-            return MonadicV(NumV(config.site_rounder(term, inner.value)))
+        if config.rounder is not None:
+            return MonadicV(NumV(config.rounder(term, inner.value)))
         rounded = config.round(inner.value)
         if isinstance(rounded, ErrV):
             return rounded

@@ -36,6 +36,7 @@ __all__ = [
     "run_nondeterministic",
     "run_stochastic",
     "run_with_rounding_schedule",
+    "stochastic_round",
     "stochastic_rounder",
     "StochasticSummary",
     "StochasticStatistics",
@@ -72,7 +73,7 @@ def run_nondeterministic(
         used = 0
         branched = False
 
-        def rounder(value: Fraction) -> Fraction:
+        def rounder(_node: A.Rnd, value: Fraction) -> Fraction:
             nonlocal used, branched
             down, up = _neighbours(value, precision)
             if down == up:
@@ -123,7 +124,7 @@ def run_with_rounding_schedule(
         raise ValueError("the rounding schedule must contain at least one mode")
     counter = {"index": 0}
 
-    def rounder(value: Fraction) -> Fraction:
+    def rounder(_node: A.Rnd, value: Fraction) -> Fraction:
         index = min(counter["index"], len(schedule) - 1)
         counter["index"] += 1
         return round_to_precision(value, precision, schedule[index])
@@ -132,23 +133,31 @@ def run_with_rounding_schedule(
     return run_monadic(term, environment, config)
 
 
+def stochastic_round(value: Fraction, precision: int, rng: random.Random) -> Fraction:
+    """The unbiased stochastic rounding operator ``ρ_sr`` at ``precision``.
+
+    An inexact value rounds up with probability proportional to its
+    distance from the lower neighbour, drawing one number from ``rng``;
+    exact values draw nothing.  Same argument order as
+    :func:`~repro.floats.rounding.round_to_precision`, with the RNG in the
+    mode's place, so the differential executor
+    (:func:`repro.validation.sampling.sample_point`) calls either one
+    per rounding at each site's own precision.
+    """
+    down, up = _neighbours(value, precision)
+    if down == up:
+        return down
+    probability_up = (value - down) / (up - down)
+    return up if rng.random() < float(probability_up) else down
+
+
 def stochastic_rounder(
     precision: int, rng: random.Random
-) -> Callable[[Fraction], Fraction]:
-    """The unbiased stochastic rounding operator ``ρ_sr``.
+) -> Callable[[A.Rnd, Fraction], Fraction]:
+    """An evaluator ``rounder`` applying :func:`stochastic_round` at every site."""
 
-    Each inexact value rounds up with probability proportional to its
-    distance from the lower neighbour, drawing from the caller's ``rng``.
-    Shared by :func:`run_stochastic` and the validation sampler (which
-    wraps it with an execution counter).
-    """
-
-    def rounder(value: Fraction) -> Fraction:
-        down, up = _neighbours(value, precision)
-        if down == up:
-            return down
-        probability_up = (value - down) / (up - down)
-        return up if rng.random() < float(probability_up) else down
+    def rounder(_node: A.Rnd, value: Fraction) -> Fraction:
+        return stochastic_round(value, precision, rng)
 
     return rounder
 

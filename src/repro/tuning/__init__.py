@@ -14,7 +14,7 @@ Layout:
 * :mod:`~repro.tuning.assignment` — the format ladder, per-site
   assignments and the unsharing rebuild that names ``rnd`` occurrences.
 * :mod:`~repro.tuning.empirical` — differential measurement of one
-  assignment (the mixed-precision analogue of validation sampling).
+  assignment: validation's executor with a per-site precision table.
 * :mod:`~repro.tuning.search` — the symbolic probe, the greedy search,
   certification fan-out, and the service work unit ``tune_item``.
 * :mod:`~repro.tuning.bench` — the ``BENCH_tuning.json`` corpus benchmark
@@ -31,7 +31,7 @@ from .assignment import (
     format_unit_roundoff,
     unshare_term,
 )
-from .empirical import MixedPoint, MixedSummary, measure_assignment, sample_point_mixed
+from .empirical import measure_assignment
 from .search import (
     DEFAULT_TARGET_RATIO,
     TUNING_SCHEMA,
@@ -56,10 +56,7 @@ __all__ = [
     "PrecisionAssignment",
     "format_unit_roundoff",
     "unshare_term",
-    "MixedPoint",
-    "MixedSummary",
     "measure_assignment",
-    "sample_point_mixed",
     "DEFAULT_TARGET_RATIO",
     "TUNING_SCHEMA",
     "CandidateCertificate",

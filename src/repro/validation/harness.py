@@ -63,6 +63,7 @@ __all__ = [
     "ValidationOptions",
     "ValidationResult",
     "ValidationSubject",
+    "point_tasks",
     "subjects_from_item",
     "subjects_or_failures",
     "validate_item",
@@ -463,19 +464,56 @@ def _sample_inputs(
 
 
 def _point_task(
-    subject: ValidationSubject, inputs: Dict[str, Fraction]
+    subject: ValidationSubject,
+    inputs: Dict[str, Fraction],
+    term: Optional[A.Term] = None,
 ) -> Tuple[A.Term, Dict[str, T.Type], Dict[str, Fraction]]:
     """The (term, skeleton, environment-inputs) triple one point executes.
 
     Function subjects are applied to constant argument terms; bare terms
     keep their free variables and receive the inputs via the environment.
+    ``term`` replaces ``subject.term`` (the tuner passes its unshared
+    rebuild, whose ``rnd`` nodes its site table keys on; constant argument
+    terms add no ``rnd`` sites).
     """
+    applied: A.Term = subject.term if term is None else term
     if subject.parameters:
-        applied: A.Term = subject.term
         for name, tau in subject.parameters:
             applied = A.App(applied, _lift_argument(inputs[name], tau))
         return applied, {}, {}
-    return subject.term, dict(subject.skeleton), dict(inputs)
+    return applied, dict(subject.skeleton), dict(inputs)
+
+
+def point_tasks(
+    subject: ValidationSubject,
+    sample: SampleOptions,
+    key: str,
+    term: Optional[A.Term] = None,
+) -> List[Tuple[Any, ...]]:
+    """The :func:`~repro.validation.sampling.sample_point` arguments of every point.
+
+    Each point's seed derives from the master seed, the subject's content
+    ``key`` and the point index, and seeds both its inputs and its
+    stochastic runs.  Raises :class:`LnumError` when an input cannot be
+    sampled or lifted.
+    """
+    tasks: List[Tuple[Any, ...]] = []
+    for index in range(max(1, sample.points)):
+        seed = point_seed(sample.seed, key, index)
+        inputs = _sample_inputs(subject, random.Random(seed))
+        applied, skeleton, env_inputs = _point_task(subject, inputs, term)
+        tasks.append(
+            (
+                applied,
+                skeleton,
+                env_inputs,
+                sample.stochastic_for_point(index),
+                sample.precision,
+                seed,
+                inputs,
+            )
+        )
+    return tasks
 
 
 # ---------------------------------------------------------------------------
@@ -657,26 +695,9 @@ class ValidationEngine:
     # -- one subject ---------------------------------------------------------
 
     def _measure(self, subject: ValidationSubject, key: str) -> EmpiricalSummary:
-        sample = self.options.sample_options()
         start = time.perf_counter()
-        tasks = []
         try:
-            for index in range(max(1, sample.points)):
-                seed = point_seed(sample.seed, key, index)
-                rng = random.Random(seed)
-                inputs = _sample_inputs(subject, rng)
-                term, skeleton, env_inputs = _point_task(subject, inputs)
-                tasks.append(
-                    (
-                        term,
-                        skeleton,
-                        env_inputs,
-                        sample.stochastic_for_point(index),
-                        sample.precision,
-                        seed,
-                        inputs,
-                    )
-                )
+            tasks = point_tasks(subject, self.options.sample_options(), key)
         except LnumError as error:
             return summarize_points(
                 [PointResult(inputs={}, error=str(error))], time.perf_counter() - start

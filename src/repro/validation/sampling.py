@@ -20,6 +20,12 @@ performs (a rounded guard can send different modes down different
 branches) and the ideal execution counts its (working-precision) square
 roots; the former parameterises the textbook ``gamma_n`` backend, the
 latter the soundness slack for the ideal semantics' inexact ``sqrt``.
+
+This is the repo's one differential executor: ``repro tune`` measures a
+mixed-precision assignment by passing :func:`sample_point` a per-site
+precision table, and every run also tallies ``sum(u_site^2)`` over the
+roundings it executed (the round-down slack, ``rounds * u^2`` when every
+site rounds at the same precision).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ast as A
 from ..core import types as T
@@ -38,7 +44,7 @@ from ..core.semantics.evaluator import (
     build_environment,
     run_monadic,
 )
-from ..core.semantics.randomized import stochastic_rounder
+from ..core.semantics.randomized import stochastic_round
 from ..core.signature import Operation, Signature, standard_signature
 from ..floats.exactmath import exact_str, rp_distance_enclosure
 from ..floats.rounding import RoundingMode, round_to_precision
@@ -88,6 +94,9 @@ class PointResult:
     #: point.  Every run is instrumented: a rounded guard can flip a
     #: branch between modes, putting more roundings on one path.
     rounds: int = 0
+    #: Largest per-run ``sum(u_site^2)`` over the roundings that run
+    #: executed (``rounds * u^2`` at uniform precision).
+    rounding_slack: Fraction = Fraction(0)
     #: Working-precision square roots executed by the ideal run.
     sqrt_calls: int = 0
     error: Optional[str] = None
@@ -109,6 +118,8 @@ class EmpiricalSummary:
     seconds: float
     message: str = ""
     failed_points: int = 0
+    #: Largest per-run ``sum(u_site^2)`` of any point; not serialized.
+    rounding_slack: Fraction = Fraction(0)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -173,15 +184,20 @@ def sample_point(
     precision: int,
     seed: int,
     report_inputs: Optional[Dict[str, Fraction]] = None,
+    site_precisions: Optional[Dict[int, int]] = None,
 ) -> PointResult:
     """Run every rounding regime at one input point and fold the errors.
 
     ``env_inputs`` populate the evaluation environment (empty for function
     subjects, whose inputs are baked in as constant arguments);
     ``report_inputs`` are the sampled values named in the summary either
-    way.  Top-level (and purely value-in, value-out) so it pickles into the
-    process pool; exceptions from the semantics become an ``error`` field
-    rather than propagating, keeping one bad point from sinking a program.
+    way.  ``site_precisions`` maps ``id(rnd node)`` to that site's
+    precision for mixed-precision runs (the caller keeps the nodes alive so
+    the ids stay unique); ``None`` rounds every site at ``precision``.
+    Top-level (and, without a site table, purely value-in, value-out) so it
+    pickles into the process pool; exceptions from the semantics become an
+    ``error`` field rather than propagating, keeping one bad point from
+    sinking a program.
     """
     inputs = report_inputs if report_inputs is not None else env_inputs
     try:
@@ -197,17 +213,51 @@ def sample_point(
             )
         sqrt_calls = sqrt_counter[0]
 
+        # Each site rounds at its precision p and adds u_p^2 = 4^(1-p) of
+        # slack, tallied as the integer 4^(top-p) in units of 4^(1-top).
+        uniform = (precision, 1)
+        table: Optional[Dict[int, Tuple[int, int]]] = None
+        top = precision
+        if site_precisions is not None:
+            top = max(site_precisions.values(), default=precision)
+            table = {
+                site: (site_precision, 4 ** (top - site_precision))
+                for site, site_precision in site_precisions.items()
+            }
+
         max_rel = Fraction(0)
         max_rp = Fraction(0)
         worst_mode = ""
         runs = 0
         rounds = 0
+        units = 0
+        # Every execution counts the roundings it actually performed (a
+        # rounded guard can send different modes down different branches,
+        # so no single run's count is safe).
+        signature = standard_signature()
 
-        def fold(value: Fraction, mode: str, executed_rounds: int) -> None:
-            nonlocal max_rel, max_rp, worst_mode, runs, rounds
+        def run(
+            mode: str, round_site: Callable[[Fraction, int, Any], Fraction], how: Any
+        ) -> None:
+            nonlocal max_rel, max_rp, worst_mode, runs, rounds, units
+            tally = [0, 0]
+
+            def rounder(node: A.Rnd, value: Fraction) -> Fraction:
+                site_precision, site_units = uniform if table is None else table[id(node)]
+                tally[0] += 1
+                tally[1] += site_units
+                return round_site(value, site_precision, how)
+
+            value = run_monadic(
+                term,
+                environment,
+                EvaluationConfig(mode="fp", signature=signature, rounder=rounder),
+            )
             runs += 1
-            if executed_rounds > rounds:
-                rounds = executed_rounds
+            if tally[0] > rounds:
+                rounds = tally[0]
+            if tally[1] > units:
+                units = tally[1]
             if value <= 0:
                 raise LnumError(f"{mode} execution produced non-positive {value}")
             rel = abs(value / ideal - 1)
@@ -219,39 +269,12 @@ def sample_point(
             if rp_high > max_rp:
                 max_rp = rp_high
 
-        # Every execution is instrumented to count the roundings it
-        # actually performed (a rounded guard can send different modes
-        # down different branches, so no single run's count is safe).
-        signature = standard_signature()
-
-        def run_counted(rounder) -> "tuple[Fraction, int]":
-            counter = [0]
-
-            def counting(value: Fraction) -> Fraction:
-                counter[0] += 1
-                return rounder(value)
-
-            result = run_monadic(
-                term,
-                environment,
-                EvaluationConfig(mode="fp", signature=signature, rounder=counting),
-            )
-            return result, counter[0]
-
-        for mode, rounding in (
-            ("ru", RoundingMode.TOWARD_POSITIVE),
-            ("rd", RoundingMode.TOWARD_NEGATIVE),
-            ("rn", RoundingMode.NEAREST_EVEN),
-        ):
-            value, executed = run_counted(
-                lambda v, _r=rounding: round_to_precision(v, precision, _r)
-            )
-            fold(value, mode, executed)
-
+        run("ru", round_to_precision, RoundingMode.TOWARD_POSITIVE)
+        run("rd", round_to_precision, RoundingMode.TOWARD_NEGATIVE)
+        run("rn", round_to_precision, RoundingMode.NEAREST_EVEN)
         rng = random.Random(seed)
         for sample_index in range(stochastic):
-            value, executed = run_counted(stochastic_rounder(precision, rng))
-            fold(value, f"stochastic[{sample_index}]", executed)
+            run(f"stochastic[{sample_index}]", stochastic_round, rng)
 
         return PointResult(
             inputs=inputs,
@@ -260,6 +283,7 @@ def sample_point(
             max_rp=max_rp,
             worst_mode=worst_mode,
             rounds=rounds,
+            rounding_slack=Fraction(units, 4 ** (top - 1)),
             sqrt_calls=sqrt_calls,
         )
     except (LnumError, ArithmeticError, ValueError, RecursionError) as error:
@@ -300,6 +324,7 @@ def summarize_points(
         max_rounds=max(result.rounds for result in good),
         max_sqrt_calls=max(result.sqrt_calls for result in good),
         seconds=seconds,
+        rounding_slack=max(result.rounding_slack for result in good),
         message="; ".join(
             f"point {{{', '.join(f'{k}={v}' for k, v in result.inputs.items())}}}: "
             f"{result.error}"

@@ -16,11 +16,9 @@ import pytest
 
 from repro.analysis.batch import BatchItem
 from repro.analysis.cache import AnalysisCache, config_key
-from repro.core import ast as A
 from repro.core.errors import TypeInferenceError
 from repro.core.grades import Grade
 from repro.core.inference import InferenceConfig, enumerate_rnd_sites, infer
-from repro.core.parser import parse_program
 from repro.tuning import (
     FORMAT_COSTS,
     LADDER,
@@ -42,6 +40,15 @@ EXAMPLES = os.path.join(
 
 FMA_SOURCE = open(os.path.join(EXAMPLES, "fma.lnum")).read()
 PYTH_SOURCE = open(os.path.join(EXAMPLES, "pythagorean_sum.lnum")).read()
+
+TWO_SITE_SOURCE = """
+function Two (x: num) (y: num) (z: num) : M[2*eps]num {
+  a = mul (x, y);
+  let r = rnd a;
+  b = add (|r, z|);
+  rnd b
+}
+"""
 
 #: Small sampling settings keep every certification in milliseconds.
 FAST = TuningOptions(points=2, samples=4)
@@ -127,15 +134,10 @@ def test_table5_tuning_matches_the_committed_bench_report():
 
 
 def test_to_dict_writes_exact_fields_past_the_int_digit_cap():
-    from repro.tuning.empirical import MixedSummary
     from repro.tuning.search import CandidateCertificate, SubjectTuning
 
     huge = Fraction(1, 7**6000)  # a 5,071-digit denominator
     payloads = (
-        MixedSummary(
-            ok=True, points=1, runs=1, max_rel=huge, max_rp=huge,
-            rounding_slack=huge, max_sqrt_calls=0, seconds=0.0,
-        ).to_dict(),
         CandidateCertificate(
             formats=("binary64",), stochastic=False, rp_bound=huge, sound=True,
             empirical_ok=True, max_rp=huge, slack=huge, seconds=0.0,
@@ -199,6 +201,23 @@ class TestCertification:
         )
         assert cert.sound and cert.empirical_ok
         assert cert.rp_bound is not None and cert.max_rp <= cert.rp_bound + cert.slack
+
+    def test_mixed_slack_sums_u_squared_of_each_executed_site(self):
+        # Each run executes both sites once: u_binary16^2 + u_binary64^2.
+        from repro.tuning import measure_assignment
+        from repro.validation.sampling import SampleOptions
+
+        subject = subject_named(TWO_SITE_SOURCE)
+        assert len(enumerate_rnd_sites(subject.term, subject.skeleton)) == 2
+        assignment = PrecisionAssignment(formats=("binary16", "binary64"))
+        summary = measure_assignment(
+            subject, assignment, SampleOptions(points=2, samples=4), "two-site"
+        )
+        assert summary.ok and summary.runs == 2 * 3 + 4
+        assert summary.max_rounds == 2
+        assert summary.rounding_slack == Fraction(1, 2**20) + Fraction(1, 2**104)
+        # The binary16 site really rounds at 11 bits.
+        assert summary.max_rp > Fraction(1, 2**16)
 
     def test_winner_re_certifies_at_a_different_seed(self):
         # The tuner's claim is per-configuration, not per-sample: a winning

@@ -580,3 +580,29 @@ def test_default_backends_filter():
     assert [backend.name for backend in backends] == ["lnum", "gappa_like"]
     with pytest.raises(ValueError):
         default_backends(names=["nope"])
+
+
+@pytest.mark.parametrize("suite", ["table3", "table5"])
+def test_a_uniform_site_table_reproduces_the_uniform_run(suite):
+    """Mapping every site of the unshared term to 53 bits changes nothing."""
+    from repro.core.inference import enumerate_rnd_sites
+    from repro.tuning.assignment import unshare_term
+    from repro.validation.bench import suite_subjects
+    from repro.validation.harness import point_tasks
+    from repro.validation.sampling import SampleOptions, sample_point
+
+    subjects, failures = suite_subjects([suite])
+    assert subjects and not failures
+    sample = SampleOptions(points=2, samples=2, seed=7)
+    for subject in subjects:
+        key = validation_key(subject, None, ValidationOptions())
+        unshared = unshare_term(subject.term)
+        table = {id(node): 53 for node in enumerate_rnd_sites(unshared, subject.skeleton)}
+        uniform_tasks = point_tasks(subject, sample, key)
+        sited_tasks = point_tasks(subject, sample, key, unshared)
+        for uniform_task, sited_task in zip(uniform_tasks, sited_tasks):
+            uniform = sample_point(*uniform_task)
+            sited = sample_point(*sited_task, table)
+            assert sited == uniform, subject.name
+            assert uniform.error is None, (subject.name, uniform.error)
+            assert uniform.rounding_slack == uniform.rounds * Fraction(1, 2**104)
