@@ -3,12 +3,14 @@
 This package is the compiled counterpart of the interpreted walker in
 :mod:`repro.core.inference`:
 
-* :mod:`~repro.core.compiled.plan` lowers an interned term once into a flat
-  preorder instruction array (cached per intern id in a bounded LRU);
+* :mod:`~repro.core.compiled.plan` lowers a term into a flat preorder
+  instruction array (an interned term's plan is cached per intern id in a
+  bounded LRU; an un-interned tree is lowered directly, uncached);
 * :mod:`~repro.core.compiled.packed` stores grade polynomials as packed
   (monomial-index, numerator, denominator) lanes with vectorized numpy
   int64 ring ops — overflow-certified, falling back to exact ``Fraction``
-  lanes — or pure-Python int lanes when numpy is unavailable;
+  lanes, with numpy imported on the first wide grade — or pure-Python int
+  lanes when numpy is unavailable;
 * :mod:`~repro.core.compiled.executor` replays the plan with a
   bytecode-style loop and converts back to interned ``Grade``/``Context``
   objects only at the judgement boundary.

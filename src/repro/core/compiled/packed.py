@@ -16,7 +16,10 @@ provides the engine-internal representation:
   ``k*eps``) keep their lanes as plain tuples of Python ints, which are
   exact at any magnitude;
 * wide polynomials use numpy ``int64`` arrays when numpy is importable, so
-  ``add``/``mul``/``max`` run as vectorized ufunc expressions.  Every
+  ``add``/``mul``/``max`` run as vectorized ufunc expressions.  numpy is
+  imported lazily, the first time a grade reaches the vectorization width,
+  so runs that only ever see narrow grades (a cold ``repro check``, most
+  batch programs) never load it.  Every
   vectorized operation first **certifies** that no intermediate can exceed
   the int64 range (all values are non-negative, so the products
   ``n1*d2 + n2*d1`` and ``d1*d2`` are bounded by ``2 * mx_a * mx_b``); when
@@ -35,6 +38,7 @@ dictionary hit for recurring grades.
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import threading
 from fractions import Fraction
@@ -65,18 +69,31 @@ __all__ = [
     "packed_memo_stats",
 ]
 
-if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
-else:
-    try:  # pragma: no cover - exercised by the no-numpy CI leg
-        import numpy as _np
-    except Exception:  # pragma: no cover
-        _np = None
+#: Whether the vectorized lanes may be used: numpy is installed and not
+#: disabled.  numpy itself is imported by ``_build`` the first time a grade
+#: is wide enough to vectorize, so narrow-grade runs never pay its import.
+_NUMPY_OK = not os.environ.get("REPRO_NO_NUMPY") and (
+    importlib.util.find_spec("numpy") is not None
+)
+#: The numpy module once imported, else None.
+_np = None
 
 
 def have_numpy() -> bool:
     """True when the vectorized int64 lanes are available (and not disabled)."""
-    return _np is not None
+    return _NUMPY_OK
+
+
+def _import_numpy() -> bool:
+    """Import numpy on first use; on failure fall back to the int lanes."""
+    global _np, _NUMPY_OK
+    try:
+        import numpy
+    except ImportError:  # pragma: no cover - a broken numpy install
+        _NUMPY_OK = False
+        return False
+    _np = numpy
+    return True
 
 
 #: Lane representation tags.
@@ -222,9 +239,9 @@ def _build(monos, nums, dens):
         return P_ZERO
     if width == 1 and monos[0] == 0 and nums[0] == 1 and dens[0] == 1:
         return P_ONE
-    if _np is not None and width >= _VEC_MIN:
+    if _NUMPY_OK and width >= _VEC_MIN:
         mx = max(max(nums), max(dens))
-        if mx < _SAFE_PROD:
+        if mx < _SAFE_PROD and (_np is not None or _import_numpy()):
             return PGrade(
                 _K_VEC,
                 _np.array(monos, dtype=_np.int64),
@@ -598,7 +615,7 @@ def pmul(a: PGrade, b: PGrade) -> PGrade:
 
 def packed_memo_stats() -> Dict[str, object]:
     return {
-        "numpy": _np is not None,
+        "numpy": _NUMPY_OK,
         "vocabulary": len(_VOCAB_MONOS),
         "pack": _PACK_MEMO.stats(),
         "unpack": _UNPACK_MEMO.stats(),

@@ -1,8 +1,9 @@
-"""Lowering interned terms into flat execution plans.
+"""Lowering terms into flat execution plans.
 
-A :class:`Plan` is a preorder array of instruction tuples, one sequence per
-interned term, built once and cached by intern id in a bounded LRU (the same
-shape as the intern-id memos of :mod:`repro.core.ast`).  Each instruction is
+A :class:`Plan` is a preorder array of instruction tuples.  The plan of an
+interned term is built once and cached by intern id in a bounded LRU (the
+same shape as the intern-id memos of :mod:`repro.core.ast`); an un-interned
+term is lowered on every call, uncached.  Each instruction is
 ``(opcode, operand...)``; binder occurrences are numbered into **slots** at
 lowering time, so variable references compile to a static slot index (the
 innermost enclosing binder for the name) instead of a runtime scope-dict
@@ -82,10 +83,15 @@ _ABSENT = object()
 
 
 def plan_for(term: A.Term) -> Plan:
+    """The plan of ``term``: memoized by intern id, or lowered afresh.
+
+    A term that arrives un-interned (a fresh parser or compiler tree) is
+    lowered directly: interning it only to make a memo key would copy every
+    node, and that key could never hit again.
+    """
     intern_id = getattr(term, "_intern_id", None)
     if intern_id is None:
-        term = A.intern_term(term)
-        intern_id = term._intern_id
+        return _lower(term)
     plan = _PLAN_MEMO.get(intern_id)
     if plan is None:
         plan = _lower(term)

@@ -59,57 +59,82 @@ class _Compiler:
         self.rounded = rounded
         self.steps: List[_Step] = []
         self.counter = 0
+        #: Input variables in first-seen (left-to-right) order.
+        self.skeleton: Dict[str, T.Type] = {}
 
     def fresh(self, hint: str) -> str:
         self.counter += 1
         return f"_{hint}{self.counter}"
 
     # A "ref" is a syntactic value referring to a previously computed result.
-    def emit(self, node: E.RealExpr) -> A.Term:
-        if isinstance(node, E.Var):
-            return A.Var(node.name)
-        if isinstance(node, E.Const):
-            if node.value <= 0:
+    def emit(self, root: E.RealExpr) -> A.Term:
+        """Emit the steps of ``root`` and return the ref of its value.
+
+        An explicit-stack post-order walk (deep chains stay off the recursion
+        limit): a node is checked on entry, in the same left-to-right order a
+        recursive walk would use, and its step is emitted once its operands'
+        refs sit on top of ``refs``.  Every ``Var`` leaf it meets is recorded
+        in ``skeleton`` in first-seen order.
+        """
+        skeleton = self.skeleton
+        refs: List[A.Term] = []
+        stack: List[Tuple[E.RealExpr, bool]] = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if ready:
+                self._emit_step(node, refs)
+                continue
+            if isinstance(node, E.Var):
+                skeleton[node.name] = T.NUM
+                refs.append(A.Var(node.name))
+            elif isinstance(node, E.Const):
+                if node.value <= 0:
+                    raise CompileError(
+                        "the RP instantiation requires strictly positive constants, "
+                        f"got {node.value}"
+                    )
+                refs.append(A.Const(node.value))
+            elif isinstance(node, (E.Add, E.Mul, E.Div, E.Sqrt, E.Fma)):
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node.children()))
+            elif isinstance(node, E.Sub):
                 raise CompileError(
-                    "the RP instantiation requires strictly positive constants, "
-                    f"got {node.value}"
+                    "subtraction is not supported by the RP instantiation of Λnum "
+                    "(Section 6.2.1); rewrite the benchmark without '-' "
                 )
-            return A.Const(node.value)
-        if isinstance(node, E.Add):
-            left = self.emit(node.left)
-            right = self.emit(node.right)
-            return self._rounded_step("add", A.WithPair(left, right), hint="s")
-        if isinstance(node, E.Mul):
-            left = self.emit(node.left)
-            right = self.emit(node.right)
-            return self._rounded_step("mul", A.TensorPair(left, right), hint="p")
-        if isinstance(node, E.Div):
-            left = self.emit(node.left)
-            right = self.emit(node.right)
-            return self._rounded_step("div", A.TensorPair(left, right), hint="q")
+            elif isinstance(node, E.Cond):
+                raise CompileError("conditionals are only supported at the root of an expression")
+            else:
+                raise CompileError(f"cannot compile expression node {node!r}")
+        return refs[-1]
+
+    def _emit_step(self, node: E.RealExpr, refs: List[A.Term]) -> None:
+        """Replace the operand refs of ``node`` on ``refs`` by its result ref."""
         if isinstance(node, E.Sqrt):
-            operand = self.emit(node.operand)
-            boxed = A.Box(operand, Fraction(1, 2))
-            return self._rounded_step("sqrt", boxed, hint="r")
+            boxed = A.Box(refs.pop(), Fraction(1, 2))
+            refs.append(self._rounded_step("sqrt", boxed, hint="r"))
+            return
         if isinstance(node, E.Fma):
-            a = self.emit(node.a)
-            b = self.emit(node.b)
-            c = self.emit(node.c)
+            c = refs.pop()
+            b = refs.pop()
+            a = refs.pop()
             product_var = self.fresh("m")
             sum_var = self.fresh("s")
             bindings = [
                 (product_var, A.Op("mul", A.TensorPair(a, b))),
                 (sum_var, A.Op("add", A.WithPair(A.Var(product_var), c))),
             ]
-            return self._finish_step(bindings, sum_var)
-        if isinstance(node, E.Sub):
-            raise CompileError(
-                "subtraction is not supported by the RP instantiation of Λnum "
-                "(Section 6.2.1); rewrite the benchmark without '-' "
-            )
-        if isinstance(node, E.Cond):
-            raise CompileError("conditionals are only supported at the root of an expression")
-        raise CompileError(f"cannot compile expression node {node!r}")
+            refs.append(self._finish_step(bindings, sum_var))
+            return
+        right = refs.pop()
+        left = refs.pop()
+        if isinstance(node, E.Add):
+            step = self._rounded_step("add", A.WithPair(left, right), hint="s")
+        elif isinstance(node, E.Mul):
+            step = self._rounded_step("mul", A.TensorPair(left, right), hint="p")
+        else:
+            step = self._rounded_step("div", A.TensorPair(left, right), hint="q")
+        refs.append(step)
 
     def _rounded_step(self, op_name: str, argument: A.Term, hint: str) -> A.Term:
         binding = self.fresh(hint)
@@ -173,17 +198,16 @@ def compile_expression(expression: E.RealExpr, rounded: bool = True) -> Compiled
     ``rounded=False`` the program is the ideal, rounding-free computation of
     type ``num`` (useful for pure sensitivity analysis).
     """
-    skeleton = {name: T.NUM for name in E.free_variables(expression)}
-    operations = E.operation_count(expression)
-
     if isinstance(expression, E.Cond):
+        # Guards add variables that the branch compilers never see.
+        skeleton = {name: T.NUM for name in E.free_variables(expression)}
         term = _compile_conditional(expression, rounded)
-        return CompiledProgram(term, skeleton, expression, operations)
+        return CompiledProgram(term, skeleton, expression, E.operation_count(expression))
 
     compiler = _Compiler(rounded)
     final_ref = compiler.emit(expression)
     term = compiler.assemble(final_ref)
-    return CompiledProgram(term, skeleton, expression, operations)
+    return CompiledProgram(term, compiler.skeleton, expression, len(compiler.steps))
 
 
 def _guard_value(node: E.RealExpr) -> A.Term:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from ..floats.exactmath import sqrt_round
 from ..floats.standard_model import StandardModel
@@ -236,10 +236,27 @@ def fma(a, b, c) -> Fma:
 
 
 def subexpressions(expr: RealExpr) -> Iterator[RealExpr]:
-    """Post-order traversal of all subexpressions."""
-    for child in expr.children():
-        yield from subexpressions(child)
-    yield expr
+    """Post-order traversal of all subexpressions.
+
+    An explicit-stack walk: linear in the expression size and free of the
+    recursion limit, so serial sums and Horner chains as deep as they are
+    long cost one resumption per node.
+    """
+    stack: List[Tuple[RealExpr, bool]] = [(expr, False)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node, expanded = pop()
+        if expanded:
+            yield node
+            continue
+        children = node.children()
+        if not children:
+            yield node
+            continue
+        push((node, True))
+        for child in reversed(children):
+            push((child, False))
 
 
 def free_variables(expr: RealExpr) -> Tuple[str, ...]:

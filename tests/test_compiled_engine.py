@@ -22,6 +22,7 @@ from repro.core.compiled import (
     compiled_memo_stats,
     have_numpy,
     plan_for,
+    plan_memo_stats,
 )
 from repro.core.compiled.packed import packed_memo_stats
 from repro.core.errors import LnumError
@@ -343,6 +344,52 @@ class TestPlanCache:
         second = plan_for(term)
         assert first is second
 
+    def test_interned_terms_hit_the_plan_memo_on_the_second_call(self):
+        term = A.intern_term(
+            A.Rnd(A.Op("mul", A.TensorPair(A.Var("x0"), A.Const(Fraction(7, 3)))))
+        )
+        first = plan_for(term)
+        hits = plan_memo_stats()["hits"]
+        assert plan_for(term) is first
+        assert plan_memo_stats()["hits"] == hits + 1
+
+    def test_uninterned_terms_are_lowered_without_interning(self):
+        # A fresh compiler tree, as ``repro batch`` and ``repro check`` hand
+        # over: plan_for lowers it directly, with no intern-table inserts and
+        # no plan-memo entry, and the plan equals the interned term's.
+        import gc
+
+        from repro.frontend import expr as E
+        from repro.frontend.compiler import compile_expression
+
+        x0, x1 = E.Var("x0"), E.Var("x1")
+        expression = E.Add(
+            E.Mul(E.Add(x0, E.Const(Fraction(7919, 13))), x1),
+            E.Fma(E.Sqrt(x0), x1, E.Div(x1, E.Const(Fraction(104729, 17)))),
+        )
+        program = compile_expression(expression)
+        term = program.term
+        gc.collect()
+        table_before = len(A._INTERN_TABLE)
+        entries_before = plan_memo_stats()["entries"]
+        plan = plan_for(term)
+        result = infer(term, program.skeleton, memo=False, engine="compiled")
+        assert len(A._INTERN_TABLE) == table_before
+        assert plan_memo_stats()["entries"] == entries_before
+        assert not A.is_interned(term)
+
+        reference = infer(term, program.skeleton, memo=False, engine="interpreted")
+        assert result.type == reference.type
+        assert result.context == reference.context
+        for (ni, ti, si), (nc, tc, sc) in zip(
+            reference.context._entries(), result.context._entries()
+        ):
+            assert ni == nc and ti == tc and si is sc
+
+        interned = plan_for(A.intern_term(term))
+        assert plan.ops == interned.ops
+        assert plan.n_slots == interned.n_slots
+
     def test_stats_shape(self):
         clear_plan_memo()
         term = A.intern_term(A.Rnd(A.Var("x0")))
@@ -409,6 +456,67 @@ class TestPurePythonFallback:
         )
         assert completed.returncode == 0, completed.stderr
         assert "NO_NUMPY_DIFFERENTIAL_OK" in completed.stdout
+
+
+class TestLazyNumpy:
+    def _run(self, script, **environment):
+        import os
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH="src", **environment)
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return completed.stdout
+
+    def test_cold_imports_leave_numpy_unloaded(self):
+        out = self._run(
+            "import sys\n"
+            "import repro.analysis.batch, repro.validation.harness, repro.tuning.search\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert out.strip() == "False"
+
+    #: Infers a narrow-grade term, then one whose box scale is 10 lanes wide,
+    #: and prints whether numpy was loaded after each, and ``have_numpy()``.
+    WIDE_SCRIPT = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from repro.core import ast as A\n"
+        "from repro.core import types as T\n"
+        "from repro.core.compiled import have_numpy\n"
+        "from repro.core.compiled.packed import packed_memo_stats\n"
+        "from repro.core.grades import DEFAULT_REGISTRY, Grade\n"
+        "from repro.core.inference import infer\n"
+        "skeleton = {'x0': T.NUM}\n"
+        "infer(A.Rnd(A.Var('x0')), skeleton, memo=False, engine='compiled')\n"
+        "narrow = 'numpy' in sys.modules\n"
+        "terms = {(): Fraction(2)}\n"
+        "for i in range(9):\n"
+        "    DEFAULT_REGISTRY.register(f'lazy{i}', Fraction(1, 5))\n"
+        "    terms[(f'lazy{i}',)] = Fraction(i + 1)\n"
+        "term = A.Box(A.Var('x0'), Grade(terms))\n"
+        "infer(term, skeleton, memo=False, engine='compiled')\n"
+        "print(narrow, 'numpy' in sys.modules, have_numpy(), packed_memo_stats()['numpy'])\n"
+    )
+
+    def test_first_wide_grade_imports_numpy(self):
+        # Narrow grades stay on the int lanes without numpy; the first grade
+        # of vectorization width loads it when it is available.
+        narrow, wide, available, reported = self._run(self.WIDE_SCRIPT).split()
+        assert narrow == "False"
+        assert wide == available == reported
+
+    def test_disabled_numpy_is_never_imported(self):
+        out = self._run(self.WIDE_SCRIPT, REPRO_NO_NUMPY="1")
+        assert out.split() == ["False", "False", "False", "False"]
 
 
 class TestEngineSelection:
