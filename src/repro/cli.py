@@ -482,11 +482,6 @@ def _configure_perf_parser(parser: argparse.ArgumentParser) -> None:
         help="where to write the JSON report (default ./BENCH_inference.json)",
     )
     parser.add_argument(
-        "--no-legacy",
-        action="store_true",
-        help="skip the seed reference engine (no before/after speedups)",
-    )
-    parser.add_argument(
         "--families",
         default=None,
         metavar="A,B",

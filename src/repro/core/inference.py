@@ -26,8 +26,8 @@ in the frame, so entering a binder is ``O(1)`` instead of an ``O(n)`` dict
 copy.  There is no recursion and therefore no recursion limit: million-node
 terms (and the 50k-deep sequenced benchmarks of Table 4) infer under the
 default interpreter settings.  The micro-benchmark harness
-(``repro perf``, see ``docs/performance.md``) tracks this path against the
-naive recursive reference engine in :mod:`repro.perf.reference`.
+(``repro perf``, see ``docs/performance.md``) times this path next to the
+compiled kernel of :mod:`repro.core.compiled`.
 """
 
 from __future__ import annotations

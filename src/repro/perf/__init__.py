@@ -14,19 +14,15 @@ from .bench import (
     write_report,
 )
 from .families import FAMILIES, build_family, parameter_for_nodes
-from .reference import NaiveContext, call_with_deep_stack, reference_infer
 
 __all__ = [
     "BENCH_FILENAME",
     "FAMILIES",
-    "NaiveContext",
     "build_family",
-    "call_with_deep_stack",
     "compare_with_baseline",
     "load_report",
     "main",
     "parameter_for_nodes",
-    "reference_infer",
     "render_report",
     "run_suite",
     "write_report",

@@ -2,13 +2,12 @@
 
 The suite times the three layers of the inference kernel:
 
-* **inference** — the iterative engine of :mod:`repro.core.inference` on the
-  parametric program families of :mod:`repro.perf.families` at ``10^3`` to
-  ``10^5`` nodes, against the seed recursive engine
-  (:func:`repro.perf.reference.reference_infer`) as the *before* baseline;
+* **inference** — the interpreted engine of :mod:`repro.core.inference` and
+  the compiled kernel of :mod:`repro.core.compiled` on the parametric
+  program families of :mod:`repro.perf.families` at ``10^3`` to ``10^5``
+  nodes, plus edit-replay reanalysis against a warm judgement memo;
 * **algebra** — interned :class:`~repro.core.grades.Grade` ring operations
-  and persistent :class:`~repro.core.environment.Context` merges against
-  their naive dict-based reference implementations;
+  and persistent :class:`~repro.core.environment.Context` merges;
 * **exactmath** — the exact rational enclosures used to convert RP grades
   into relative-error bounds.
 
@@ -35,7 +34,6 @@ from ..core.inference import InferenceConfig, JudgementMemo, infer
 from ..core.types import NUM
 from ..floats.exactmath import rp_distance_enclosure
 from .families import FAMILIES, parameter_for_nodes
-from .reference import NaiveContext, call_with_deep_stack, reference_infer
 
 __all__ = [
     "BENCH_FILENAME",
@@ -61,7 +59,10 @@ BENCH_FILENAME = "BENCH_inference.json"
 #: ``compiled_speedup`` (``seconds / compiled_seconds``; both engines are
 #: exact, so the speedup is measured on identical judgements); ``seconds``
 #: keeps meaning the interpreted engine so old baselines stay comparable.
-REPORT_SCHEMA = 3
+#: 4 — the seed reference engine is no longer timed: inference and algebra
+#: rows drop ``legacy_seconds`` and the seed-relative ``speedup``
+#: (``incremental/*`` rows keep ``speedup``, full ÷ per-edit).
+REPORT_SCHEMA = 4
 
 #: Node-count targets for the inference families.
 FULL_SIZES: Tuple[int, ...] = (1_000, 10_000, 100_000)
@@ -70,19 +71,6 @@ QUICK_SIZES: Tuple[int, ...] = (1_000,)
 #: Below this many seconds a measurement is treated as noise by the baseline
 #: gate (micro-benchmarks on shared CI machines jitter by milliseconds).
 NOISE_FLOOR_SECONDS = 0.005
-
-#: Largest node count at which the quadratic seed engine is still timed per
-#: family.  SerialSum — the paper's canonical wide-let-chain (Table 4) — is
-#: measured all the way to 10^5 nodes so the committed report carries a full
-#: before/after at the scale the paper quotes (~15 min of seed time for that
-#: single row).  The other families stop earlier: the seed costs minutes per
-#: additional 10^5-node row (the conditional ladder alone is ~19 s at 10^4)
-#: and the extra rows repeat the same quadratic story.
-LEGACY_NODE_CAPS: Dict[str, int] = {
-    "serial_sum": 150_000,
-    "conditional_ladder": 15_000,
-}
-DEFAULT_LEGACY_NODE_CAP = 50_000
 
 
 def _best_of(function: Callable[[], object], repeats: int) -> float:
@@ -110,7 +98,6 @@ def _repeats_for(seconds_estimate: float, quick: bool) -> int:
 def _inference_benchmarks(
     sizes: Sequence[int],
     family_names: Sequence[str],
-    include_legacy: bool,
     quick: bool,
     progress: Callable[[str], None],
     engine: str = "both",
@@ -216,18 +203,6 @@ def _inference_benchmarks(
                 infer(term, skeleton, config, memo=fresh_memo)
                 memo_stats = fresh_memo.stats()
 
-            legacy_seconds: Optional[float] = None
-            legacy_cap = LEGACY_NODE_CAPS.get(family_name, DEFAULT_LEGACY_NODE_CAP)
-            legacy_skipped = include_legacy and nodes > legacy_cap
-            if include_legacy and not legacy_skipped:
-                limit = 2 * nodes + 10_000
-
-                def timed_reference() -> float:
-                    return _best_of(
-                        lambda: reference_infer(term, skeleton, config, limit), 1
-                    )
-
-                legacy_seconds = call_with_deep_stack(timed_reference, limit)
             entry: Dict[str, object] = {
                 "name": name,
                 "category": "inference",
@@ -239,8 +214,6 @@ def _inference_benchmarks(
                 "tree_nodes": nodes,
                 "dag_nodes": dag_nodes,
                 "seconds": seconds,
-                "legacy_seconds": legacy_seconds,
-                "speedup": (legacy_seconds / seconds) if legacy_seconds else None,
                 "repeats": repeats,
             }
             if compiled_seconds is not None:
@@ -254,10 +227,6 @@ def _inference_benchmarks(
                 entry["memo_hits"] = memo_stats["hits"]
                 entry["memo_misses"] = memo_stats["misses"]
                 entry["memo_hit_rate"] = memo_stats["hit_rate"]
-            if legacy_skipped:
-                entry["legacy_skipped"] = (
-                    f"seed engine is quadratic here; not timed beyond {legacy_cap} nodes"
-                )
             results.append(entry)
     return results
 
@@ -354,7 +323,6 @@ def _incremental_benchmarks(
                     else None
                 ),
                 "memo_hit_rate": sum(hit_rates) / len(hit_rates),
-                "legacy_seconds": None,
                 "repeats": edits,
             }
         )
@@ -368,15 +336,11 @@ def _incremental_benchmarks(
 _GRADE_POOL_SIZE = 61
 
 
-def _grade_pool():
-    return [
+def _grade_workload(count: int) -> None:
+    pool = [
         Grade.constant(Fraction(index + 1, 7)) + EPS * (index + 1)
         for index in range(_GRADE_POOL_SIZE)
     ]
-
-
-def _grade_workload(count: int) -> None:
-    pool = _grade_pool()
     size = len(pool)
     accumulator = Grade.constant(0)
     for index in range(count):
@@ -385,27 +349,6 @@ def _grade_workload(count: int) -> None:
         combined = (left + right).max(left * right)
         accumulator = accumulator.max(combined)
     accumulator.evaluate()
-
-
-def _naive_grade_workload(count: int) -> None:
-    from .reference import naive_add_terms, naive_mul_terms
-
-    pool = [grade.terms() for grade in _grade_pool()]
-    registry_eval = lambda terms: sum(
-        (coeff * Fraction(1, 2**52) ** len(mono) for mono, coeff in terms.items()),
-        Fraction(0),
-    )
-    size = len(pool)
-    best = Fraction(0)
-    for index in range(count):
-        left = pool[index % size]
-        right = pool[(index * 7 + 3) % size]
-        added = naive_add_terms(left, right)
-        multiplied = naive_mul_terms(left, right)
-        combined = added if registry_eval(added) >= registry_eval(multiplied) else multiplied
-        value = registry_eval(combined)
-        if value > best:
-            best = value
 
 
 def _context_workload(width: int) -> None:
@@ -419,17 +362,6 @@ def _context_workload(width: int) -> None:
     accumulator.sensitivity_of("v0")
 
 
-def _naive_context_workload(width: int) -> None:
-    accumulator = NaiveContext.empty()
-    for index in range(width):
-        accumulator = accumulator + NaiveContext.single(f"v{index}", NUM, 1)
-        if index % 8 == 0:
-            accumulator = accumulator.max_with(
-                NaiveContext.single(f"v{index // 2}", NUM, 2)
-            ).scale(1)
-    accumulator.sensitivity_of("v0")
-
-
 def _exactmath_workload(count: int, salt: int) -> None:
     for index in range(count):
         x = Fraction(10**6 + 13 * index + salt, 10**6)
@@ -438,14 +370,13 @@ def _exactmath_workload(count: int, salt: int) -> None:
 
 
 def _algebra_benchmarks(
-    include_legacy: bool, quick: bool, progress: Callable[[str], None]
+    quick: bool, progress: Callable[[str], None]
 ) -> List[Dict[str, object]]:
     results: List[Dict[str, object]] = []
 
     grade_count = 2_000 if quick else 20_000
     progress(f"  grade/ring_ops: {grade_count} operations")
     seconds = _best_of(lambda: _grade_workload(grade_count), 3)
-    legacy = _best_of(lambda: _naive_grade_workload(grade_count), 3) if include_legacy else None
     results.append(
         {
             "name": "grade/ring_ops",
@@ -453,8 +384,6 @@ def _algebra_benchmarks(
             "parameter": grade_count,
             "nodes": None,
             "seconds": seconds,
-            "legacy_seconds": legacy,
-            "speedup": (legacy / seconds) if legacy else None,
             "repeats": 3,
         }
     )
@@ -462,7 +391,6 @@ def _algebra_benchmarks(
     width = 800 if quick else 4_000
     progress(f"  context/wide_merge: {width} bindings")
     seconds = _best_of(lambda: _context_workload(width), 3)
-    legacy = _best_of(lambda: _naive_context_workload(width), 3) if include_legacy else None
     results.append(
         {
             "name": "context/wide_merge",
@@ -470,8 +398,6 @@ def _algebra_benchmarks(
             "parameter": width,
             "nodes": None,
             "seconds": seconds,
-            "legacy_seconds": legacy,
-            "speedup": (legacy / seconds) if legacy else None,
             "repeats": 3,
         }
     )
@@ -494,8 +420,6 @@ def _algebra_benchmarks(
             "parameter": count,
             "nodes": None,
             "seconds": seconds,
-            "legacy_seconds": None,
-            "speedup": None,
             "repeats": 3,
         }
     )
@@ -599,9 +523,32 @@ def _run_overhead(arguments) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _selection(
+    quick: bool, families: Optional[Sequence[str]], sizes: Optional[Sequence[int]]
+) -> Tuple[List[str], List[int]]:
+    """Resolve the family names and node-count targets a run times.
+
+    Raises :class:`ValueError` on an unknown family or a target below one
+    node, before anything is timed.
+    """
+    family_names = list(families) if families else list(FAMILIES)
+    unknown = [name for name in family_names if name not in FAMILIES]
+    if unknown:
+        raise ValueError(
+            f"unknown inference families: {', '.join(unknown)} "
+            f"(expected some of {', '.join(FAMILIES)})"
+        )
+    node_targets = list(sizes) if sizes else list(QUICK_SIZES if quick else FULL_SIZES)
+    too_small = [str(size) for size in node_targets if size < 1]
+    if too_small:
+        raise ValueError(
+            f"node-count targets must be positive, got {', '.join(too_small)}"
+        )
+    return family_names, node_targets
+
+
 def run_suite(
     quick: bool = False,
-    include_legacy: bool = True,
     families: Optional[Sequence[str]] = None,
     sizes: Optional[Sequence[int]] = None,
     progress: Callable[[str], None] = lambda line: None,
@@ -612,15 +559,11 @@ def run_suite(
         raise ValueError(
             f"unknown engine selection {engine!r}; expected both/compiled/interpreted"
         )
-    family_names = list(families) if families else list(FAMILIES)
-    unknown = [name for name in family_names if name not in FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown inference families: {', '.join(unknown)}")
-    node_targets = list(sizes) if sizes else list(QUICK_SIZES if quick else FULL_SIZES)
+    family_names, node_targets = _selection(quick, families, sizes)
 
     progress("inference families:")
     benchmarks = _inference_benchmarks(
-        node_targets, family_names, include_legacy, quick, progress, engine=engine
+        node_targets, family_names, quick, progress, engine=engine
     )
     if families is None:
         # The edit-replay rows ride every default suite run (including the
@@ -629,7 +572,7 @@ def run_suite(
         progress("incremental edit replay:")
         benchmarks.extend(_incremental_benchmarks(node_targets, quick, progress))
     progress("algebra / exactmath:")
-    benchmarks.extend(_algebra_benchmarks(include_legacy, quick, progress))
+    benchmarks.extend(_algebra_benchmarks(quick, progress))
 
     return {
         "schema": REPORT_SCHEMA,
@@ -649,7 +592,6 @@ def run_suite(
                 "vectorized grade algebra; exact, bit-for-bit identical "
                 "judgements)"
             ),
-            "legacy": "repro.perf.reference (seed: recursive walk, dict contexts)",
         },
         "sizes": node_targets,
         "benchmarks": benchmarks,
@@ -743,15 +685,23 @@ def render_report(report: Dict[str, object]) -> str:
     number.  ``compiled``/``cspeed`` are the compiled bytecode kernel's time
     and its speedup over the interpreted engine, ``memo`` is the
     memoized-vs-unmemoized speedup for shared rows, and the
-    full-vs-incremental speedup for edit-replay rows.
+    full-vs-incremental speedup for edit-replay rows.  A row without a
+    timing or a speedup shows ``-``.
     """
+
+    def milliseconds(seconds: Optional[float]) -> str:
+        return f"{seconds * 1e3:.2f}ms" if seconds else "-"
+
+    def ratio(value: Optional[float]) -> str:
+        return f"{value:.1f}x" if value else "-"
+
     lines = [
         f"repro perf ({'quick' if report.get('quick') else 'full'}) — "
         f"python {report.get('python')}"
     ]
     header = (
         f"{'benchmark':<34} {'tree/dag':>13} {'current':>12} {'compiled':>12} "
-        f"{'legacy':>12} {'speedup':>8} {'cspeed':>8} {'memo':>8}"
+        f"{'cspeed':>8} {'memo':>8}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -764,23 +714,16 @@ def render_report(report: Dict[str, object]) -> str:
             nodes_cell = f"{nodes}/{dag_nodes}"
         else:
             nodes_cell = str(nodes)
-        legacy = entry.get("legacy_seconds")
-        compiled = entry.get("compiled_seconds")
-        speedup = entry.get("speedup")
-        compiled_speedup = entry.get("compiled_speedup")
         memo_speedup = entry.get("memo_speedup")
-        if memo_speedup is None and entry.get("category") == "incremental":
+        if entry.get("category") == "incremental":
             memo_speedup = entry.get("speedup")
-            speedup = None
         lines.append(
             f"{entry['name']:<34} "
             f"{nodes_cell:>13} "
-            f"{entry['seconds'] * 1e3:>10.2f}ms "
-            f"{(compiled * 1e3 if compiled else float('nan')):>10.2f}ms "
-            f"{(legacy * 1e3 if legacy else float('nan')):>10.2f}ms "
-            f"{(f'{speedup:.1f}x' if speedup else '-'):>8} "
-            f"{(f'{compiled_speedup:.1f}x' if compiled_speedup else '-'):>8} "
-            f"{(f'{memo_speedup:.1f}x' if memo_speedup else '-'):>8}"
+            f"{milliseconds(entry['seconds']):>12} "
+            f"{milliseconds(entry.get('compiled_seconds')):>12} "
+            f"{ratio(entry.get('compiled_speedup')):>8} "
+            f"{ratio(memo_speedup):>8}"
         )
     return "\n".join(lines)
 
@@ -798,17 +741,30 @@ def configure_parser(parser) -> None:
     _configure_perf_parser(parser)
 
 
+def _node_counts(text: str) -> List[int]:
+    """Parse the comma-separated ``--sizes`` list."""
+    counts = []
+    for size in text.split(","):
+        try:
+            counts.append(int(size))
+        except ValueError:
+            raise ValueError(f"--sizes: {size!r} is not an integer node count") from None
+    return counts
+
+
 def run(arguments) -> int:
     """Execute a parsed ``repro perf`` invocation."""
     if getattr(arguments, "overhead", False):
         return _run_overhead(arguments)
     families = arguments.families.split(",") if arguments.families else None
-    sizes = (
-        [int(size) for size in arguments.sizes.split(",")] if arguments.sizes else None
-    )
+    try:
+        sizes = _node_counts(arguments.sizes) if arguments.sizes else None
+        _selection(arguments.quick, families, sizes)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     report = run_suite(
         quick=arguments.quick,
-        include_legacy=not arguments.no_legacy,
         families=families,
         sizes=sizes,
         progress=lambda line: print(line, file=sys.stderr),

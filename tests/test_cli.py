@@ -144,6 +144,23 @@ class TestErrorPaths:
         assert main(["batch", str(bad), "--no-cache"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "selection",
+        [
+            ["--sizes", "abc"],
+            ["--families", "nope"],
+            ["--sizes", "0"],
+            ["--sizes", "-5"],
+        ],
+    )
+    def test_malformed_perf_selection_is_exit_code_2(self, selection, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["perf", "--quick", "--out", str(out), *selection]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
 
 class TestVersionAndWiring:
     def test_version_flag(self, capsys):
@@ -159,10 +176,10 @@ class TestVersionAndWiring:
         from repro.cli import build_parser
 
         arguments = build_parser().parse_args(
-            ["perf", "--quick", "--no-legacy", "--sizes", "100", "--out", "/tmp/x.json"]
+            ["perf", "--quick", "--sizes", "100", "--out", "/tmp/x.json"]
         )
         assert arguments.command == "perf"
-        assert arguments.quick and arguments.no_legacy
+        assert arguments.quick
         assert arguments.sizes == "100"
 
     def test_serve_and_query_parse(self):

@@ -2,22 +2,119 @@
 
 The interned :class:`~repro.core.grades.Grade` ring and the persistent
 :class:`~repro.core.environment.Context` algebra must agree with the naive
-reference implementations in :mod:`repro.perf.reference` — plain monomial
-dicts and flat binding dicts — on randomized inputs, and must satisfy the
+reference implementations below — plain monomial dicts and flat binding
+dicts copied per operation — on randomized inputs, and must satisfy the
 algebraic laws the typing rules rely on: the semiring laws of Definition 4.2
 (including the ``0 · ∞ = 0`` convention) and the context-algebra laws used
 by the bottom-up rules of Fig. 10.
 """
 
 from fractions import Fraction
+from typing import Dict, Mapping, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.environment import Context
-from repro.core.grades import DEFAULT_REGISTRY, EPS, Grade, INFINITY, ONE, ZERO, as_grade
-from repro.core.types import NUM, UNIT
-from repro.perf.reference import NaiveContext, naive_add_terms, naive_mul_terms
+from repro.core.errors import TypeCheckError
+from repro.core.grades import (
+    DEFAULT_REGISTRY,
+    EPS,
+    Grade,
+    GradeLike,
+    INFINITY,
+    ONE,
+    ZERO,
+    as_grade,
+)
+from repro.core.types import NUM, UNIT, Type
+
+# ---------------------------------------------------------------------------
+# Naive references: the specification of Grade.__add__/__mul__ and of the
+# Context algebra
+# ---------------------------------------------------------------------------
+
+
+def naive_add_terms(
+    left: Mapping[Tuple[str, ...], Fraction], right: Mapping[Tuple[str, ...], Fraction]
+) -> Dict[Tuple[str, ...], Fraction]:
+    """Coefficient-wise sum of two monomial -> coefficient maps."""
+    terms = dict(left)
+    for mono, coeff in right.items():
+        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+    return {mono: coeff for mono, coeff in terms.items() if coeff != 0}
+
+
+def naive_mul_terms(
+    left: Mapping[Tuple[str, ...], Fraction], right: Mapping[Tuple[str, ...], Fraction]
+) -> Dict[Tuple[str, ...], Fraction]:
+    """Distributive product of two monomial -> coefficient maps."""
+    terms: Dict[Tuple[str, ...], Fraction] = {}
+    for mono_a, coeff_a in left.items():
+        for mono_b, coeff_b in right.items():
+            mono = tuple(sorted(mono_a + mono_b))
+            terms[mono] = terms.get(mono, Fraction(0)) + coeff_a * coeff_b
+    return {mono: coeff for mono, coeff in terms.items() if coeff != 0}
+
+
+class NaiveContext:
+    """A context as one flat dict, rebuilt by every operation."""
+
+    __slots__ = ("_bindings",)
+
+    def __init__(self, bindings: Optional[Mapping[str, Tuple[Type, Grade]]] = None) -> None:
+        data: Dict[str, Tuple[Type, Grade]] = {}
+        if bindings:
+            for name, (tau, sens) in bindings.items():
+                data[name] = (tau, as_grade(sens))
+        self._bindings = data
+
+    def as_dict(self) -> Dict[str, Tuple[Type, Grade]]:
+        return dict(self._bindings)
+
+    def remove(self, *names: str) -> "NaiveContext":
+        return NaiveContext(
+            {k: v for k, v in self._bindings.items() if k not in names}
+        )
+
+    def summable_with(self, other: "NaiveContext") -> bool:
+        for name, (tau, _) in self._bindings.items():
+            if name in other._bindings and other._bindings[name][0] != tau:
+                return False
+        return True
+
+    def __add__(self, other: "NaiveContext") -> "NaiveContext":
+        if not self.summable_with(other):
+            raise TypeCheckError(
+                "contexts are not summable: a shared variable has two different types"
+            )
+        data = dict(self._bindings)
+        for name, (tau, sens) in other._bindings.items():
+            if name in data:
+                data[name] = (tau, data[name][1] + sens)
+            else:
+                data[name] = (tau, sens)
+        return NaiveContext(data)
+
+    def scale(self, factor: GradeLike) -> "NaiveContext":
+        factor = as_grade(factor)
+        return NaiveContext(
+            {name: (tau, factor * sens) for name, (tau, sens) in self._bindings.items()}
+        )
+
+    def max_with(self, other: "NaiveContext") -> "NaiveContext":
+        if not self.summable_with(other):
+            raise TypeCheckError(
+                "contexts cannot be joined: a shared variable has two different types"
+            )
+        data = dict(self._bindings)
+        for name, (tau, sens) in other._bindings.items():
+            if name in data:
+                data[name] = (tau, data[name][1].max(sens))
+            else:
+                data[name] = (tau, sens)
+        return NaiveContext(data)
+
 
 # ---------------------------------------------------------------------------
 # Strategies

@@ -344,13 +344,3 @@ class TestIterativeEngineAtScale:
         # doubling through the shadowing chain is collapsed by max/add).
         assert not result.sensitivity_of("y").is_zero
 
-    def test_matches_reference_engine_on_families(self):
-        from repro.perf.families import FAMILIES
-        from repro.perf.reference import reference_infer
-
-        for name, family in FAMILIES.items():
-            term, skeleton, _nodes, _dag = family.instantiate(24)
-            result = infer(term, skeleton)
-            reference_ctx, reference_ty = reference_infer(term, skeleton)
-            assert result.type == reference_ty, name
-            assert result.context.as_dict() == reference_ctx.as_dict(), name

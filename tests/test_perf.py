@@ -1,4 +1,4 @@
-"""Tests for the perf subsystem (families, reference engine, harness, gate)."""
+"""Tests for the perf subsystem (families, harness, gate)."""
 
 import json
 import os
@@ -22,7 +22,6 @@ from repro.perf.bench import (
     write_report,
 )
 from repro.perf.families import FAMILIES, build_family, parameter_for_nodes
-from repro.perf.reference import call_with_deep_stack, reference_infer
 
 
 class TestFamilies:
@@ -93,39 +92,17 @@ class TestFamilies:
         assert {"Add", "Mul"} <= kinds
 
 
-class TestReferenceEngine:
-    @pytest.mark.parametrize("name", sorted(FAMILIES))
-    def test_agrees_with_iterative_engine(self, name):
-        term, skeleton, _, _ = build_family(name, 20)
-        result = infer(term, skeleton)
-        reference_ctx, reference_ty = reference_infer(term, skeleton)
-        assert result.type == reference_ty
-        assert result.context.as_dict() == reference_ctx.as_dict()
-
-    def test_call_with_deep_stack_runs_deep(self):
-        def deep(n: int) -> int:
-            return 0 if n == 0 else deep(n - 1) + 1
-
-        assert call_with_deep_stack(lambda: deep(50_000), 60_000) == 50_000
-
-    def test_call_with_deep_stack_propagates_errors(self):
-        def boom() -> None:
-            raise ValueError("inner failure")
-
-        with pytest.raises(ValueError, match="inner failure"):
-            call_with_deep_stack(boom, 10_000)
-
-
 class TestHarness:
     @pytest.fixture(scope="class")
     def tiny_report(self):
         # One small family, tiny sizes: fast enough for every CI run.
         return run_suite(
-            quick=True, include_legacy=True, families=["serial_sum"], sizes=[300]
+            quick=True, families=["serial_sum"], sizes=[300]
         )
 
     def test_report_shape(self, tiny_report):
         assert tiny_report["suite"] == "repro-perf"
+        assert tiny_report["schema"] == 4
         names = [entry["name"] for entry in tiny_report["benchmarks"]]
         assert "infer/serial_sum/300" in names
         assert "grade/ring_ops" in names
@@ -133,19 +110,8 @@ class TestHarness:
         assert "exactmath/rp_enclosure" in names
         for entry in tiny_report["benchmarks"]:
             assert entry["seconds"] > 0
-
-    def test_legacy_speedups_recorded(self, tiny_report):
-        inference_rows = [
-            entry
-            for entry in tiny_report["benchmarks"]
-            if entry["category"] == "inference"
-        ]
-        assert inference_rows
-        for entry in inference_rows:
-            assert entry["legacy_seconds"] is not None
-            assert entry["speedup"] == pytest.approx(
-                entry["legacy_seconds"] / entry["seconds"]
-            )
+            assert "legacy_seconds" not in entry
+            assert "legacy_skipped" not in entry
 
     def test_write_and_load_round_trip(self, tiny_report, tmp_path):
         path = write_report(tiny_report, str(tmp_path / "bench.json"))
@@ -155,13 +121,14 @@ class TestHarness:
         rendered = render_report(tiny_report)
         for entry in tiny_report["benchmarks"]:
             assert entry["name"] in rendered
+        assert "nan" not in rendered  # missing timings render as "-"
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown inference families"):
             run_suite(families=["no_such_family"], sizes=[100])
 
     def test_dag_and_incremental_rows(self):
-        report = run_suite(quick=True, include_legacy=False, sizes=[400])
+        report = run_suite(quick=True, sizes=[400])
         by_name = {entry["name"]: entry for entry in report["benchmarks"]}
 
         fanout = by_name["infer/dag_fanout/400"]
@@ -188,7 +155,7 @@ class TestHarness:
 
     def test_explicit_family_selection_skips_edit_replay(self):
         report = run_suite(
-            quick=True, include_legacy=False, families=["serial_sum"], sizes=[200]
+            quick=True, families=["serial_sum"], sizes=[200]
         )
         names = [entry["name"] for entry in report["benchmarks"]]
         assert not any(name.startswith("incremental/") for name in names)
