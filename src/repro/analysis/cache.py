@@ -279,6 +279,11 @@ class AnalysisCache:
     FIFO.  All memory-tier operations and counters are serialized through
     an internal lock, so one cache instance can be shared by the asyncio
     service loop, executor result threads and batch workers.
+
+    The service (:mod:`repro.service.server`) uses one instance as its
+    result store: :meth:`peek` probes memory on the event loop, :meth:`get`
+    runs the disk probe on the executor, and ``put(..., persist=False)``
+    stores inline while :meth:`write_disk` persists off the loop.
     """
 
     def __init__(
@@ -299,6 +304,9 @@ class AnalysisCache:
         #: Corrupt disk entries this instance renamed to ``*.corrupt``.
         self.quarantined = 0
         self.stats = CacheStats()
+        #: Memory misses served by the disk tier (each also counts in
+        #: ``stats.hits``: to a caller of :meth:`get` it is a hit).
+        self.disk_hits = 0
         self.parse_stats = CacheStats()
         self._memory = _LRU(memory_entries)
         self._parses = _LRU(parse_entries)
@@ -319,26 +327,51 @@ class AnalysisCache:
                 return value
         # Disk I/O happens outside the lock so a slow read never blocks
         # other threads' memory-tier traffic.
-        value = self._read_disk(key)
+        value = self.read_disk(key, _MISSING)
         with self._lock:
             if value is not _MISSING:
                 self.stats.hits += 1
+                self.disk_hits += 1
                 self.stats.evictions += self._memory.put(key, value)
                 return value
             self.stats.misses += 1
             return default
 
-    def put(self, key: str, value: Any) -> None:
+    def peek(self, key: str, default: Any = None, count: bool = True) -> Any:
+        """Memory-tier-only probe that counts a hit but never a miss.
+
+        The caller's follow-up :meth:`get` records the miss, so each
+        logical lookup counts once; ``count=False`` counts nothing, for a
+        re-check of a lookup already counted.
+        """
+        with self._lock:
+            value = self._memory.get(key, _MISSING)
+            if value is _MISSING:
+                return default
+            if count:
+                self.stats.hits += 1
+            return value
+
+    def put(self, key: str, value: Any, persist: bool = True) -> None:
+        """Store ``value``; ``persist=False`` leaves the disk write to a
+        later :meth:`write_disk` (the service runs it off its event loop)."""
         with self._lock:
             self.stats.puts += 1
             self.stats.evictions += self._memory.put(key, value)
-        self._write_disk(key, value)
+        if persist:
+            self.write_disk(key, value)
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
             if key in self._memory:
                 return True
         return self.directory is not None and os.path.exists(self._path(key))
+
+    @property
+    def entries(self) -> int:
+        """Live entries in the memory tier."""
+        with self._lock:
+            return len(self._memory)
 
     def clear(self) -> None:
         """Drop every entry (memory and disk)."""
@@ -381,9 +414,10 @@ class AnalysisCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, f"{key}.pkl")
 
-    def _read_disk(self, key: str) -> Any:
+    def read_disk(self, key: str, default: Any = None) -> Any:
+        """Disk-tier-only read: no memory promotion, no counters."""
         if not self.directory:
-            return _MISSING
+            return default
         path = self._path(key)
         try:
             with open(path, "rb") as handle:
@@ -397,14 +431,14 @@ class AnalysisCache:
                 pass
             return value
         except FileNotFoundError:
-            return _MISSING
+            return default
         except Exception:
             # A truncated, corrupt or stale entry.  ``pickle.load`` raises
             # arbitrary exception types on garbage input (ValueError,
             # UnicodeDecodeError, ...), so any failure here is treated the
             # same way: quarantine the file and report a miss.
             self._quarantine(path)
-            return _MISSING
+            return default
 
     def _quarantine(self, path: str) -> None:
         """Set a corrupt entry aside as ``<key>.corrupt`` (bounded).
@@ -448,7 +482,8 @@ class AnalysisCache:
                     max(0, total_bytes - size),
                 )
 
-    def _write_disk(self, key: str, value: Any) -> None:
+    def write_disk(self, key: str, value: Any) -> None:
+        """Disk-tier-only write (best-effort; a no-op without a directory)."""
         if not self.directory:
             return
         try:

@@ -138,10 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-size", type=int, default=256,
         help="bounded work queue; full queue sheds requests with a busy response",
     )
-    serve.add_argument("--shards", type=int, default=8, help="memory-cache shards")
-    serve.add_argument(
-        "--shard-entries", type=int, default=512, help="LRU entries per shard"
-    )
     serve.add_argument(
         "--no-cache", action="store_true", help="disable the persistent disk tier"
     )
@@ -667,8 +663,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     config = ServiceConfig(
         jobs=arguments.jobs,
         queue_size=arguments.queue_size,
-        shards=arguments.shards,
-        shard_entries=arguments.shard_entries,
         cache_dir=cache_dir,
         default_deadline_seconds=arguments.deadline or None,
         inference=_config_from_arguments(arguments),
@@ -710,8 +704,6 @@ def _serve_cluster(arguments: argparse.Namespace) -> int:
     service = ServiceConfig(
         jobs=arguments.jobs,
         queue_size=arguments.queue_size,
-        shards=arguments.shards,
-        shard_entries=arguments.shard_entries,
         cache_dir=cache_dir,
         default_deadline_seconds=arguments.deadline or None,
         inference=_config_from_arguments(arguments),

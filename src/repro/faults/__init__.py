@@ -21,7 +21,7 @@ site                where it fires
 ``truncate_frame``  the server write path — emit a partial frame and
                     drop the connection
 ``drop_connection`` the server write path — close without responding
-``corrupt_cache``   :meth:`AnalysisCache._write_disk` — garbage the
+``corrupt_cache``   :meth:`AnalysisCache.write_disk` — garbage the
                     just-written pickle so a later read must quarantine
 ``compiled_error``  :func:`repro.core.inference.infer` — the compiled
                     engine raises, exercising the interpreted fallback

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Generator, List, Optional, Tuple, Union
 
 from ..core.errors import ParseError
 from . import expr as E
@@ -92,21 +92,27 @@ def parse_sexpr(text: str) -> SExpr:
 
 
 def _read_sexpr(tokens: List[str], position: int) -> Tuple[SExpr, int]:
+    """Read one s-expression; open lists wait on an explicit stack."""
     if position >= len(tokens):
         raise ParseError("unexpected end of FPCore input")
-    token = tokens[position]
-    if token == "(":
-        items: List[SExpr] = []
+    open_lists: List[List[SExpr]] = []
+    while True:
+        token = tokens[position]
         position += 1
-        while position < len(tokens) and tokens[position] != ")":
-            item, position = _read_sexpr(tokens, position)
-            items.append(item)
+        if token == "(":
+            open_lists.append([])
+        else:
+            if token == ")":
+                if not open_lists:
+                    raise ParseError("unexpected ')' in FPCore input")
+                item: SExpr = open_lists.pop()
+            else:
+                item = _atom(token)
+            if not open_lists:
+                return item, position
+            open_lists[-1].append(item)
         if position >= len(tokens):
             raise ParseError("missing closing parenthesis in FPCore input")
-        return items, position + 1
-    if token == ")":
-        raise ParseError("unexpected ')' in FPCore input")
-    return _atom(token), position + 1
 
 
 def _atom(token: str) -> Atom:
@@ -153,12 +159,49 @@ def parse_fpcore(source: str) -> FPCore:
 
 
 def _convert(form: SExpr, bindings: Dict[str, E.RealExpr]) -> E.RealExpr:
+    """Convert an FPCore body to the expression IR.
+
+    :func:`_convert_form` yields each operand of a compound form as an
+    ``(operand, scope)`` request and is sent the converted operand back.
+    The suspended generators live on an explicit stack, so nesting depth
+    is bounded by memory, not the recursion limit.
+    """
+    suspended: List[Generator] = []
+    while True:
+        if not isinstance(form, list):
+            value: Optional[E.RealExpr] = _convert_atom(form, bindings)
+        elif (
+            len(form) == 3
+            and form[0] in _BINARY_OPS
+            and not isinstance(form[1], list)
+            and not isinstance(form[2], list)
+        ):
+            # ``(op atom atom)``, most of a program's leaves: no generator.
+            value = _BINARY_OPS[form[0]](
+                _convert_atom(form[1], bindings), _convert_atom(form[2], bindings)
+            )
+        else:
+            suspended.append(_convert_form(form, bindings))
+            value = None
+        while suspended:
+            try:
+                form, bindings = suspended[-1].send(value)
+                break
+            except StopIteration as finished:
+                suspended.pop()
+                value = finished.value
+        else:
+            return value
+
+
+def _convert_atom(form: Atom, bindings: Dict[str, E.RealExpr]) -> E.RealExpr:
     if isinstance(form, Fraction):
         return E.Const(form)
-    if isinstance(form, str):
-        if form in bindings:
-            return bindings[form]
-        return E.Var(form)
+    return bindings[form] if form in bindings else E.Var(form)
+
+
+def _convert_form(form: list, bindings: Dict[str, E.RealExpr]) -> Generator:
+    """One compound form; ``yield (operand, scope)`` converts an operand."""
     if not form:
         raise ParseError("empty s-expression in FPCore body")
     head = form[0]
@@ -167,36 +210,38 @@ def _convert(form: SExpr, bindings: Dict[str, E.RealExpr]) -> E.RealExpr:
         if len(args) == 1:
             if head == "-":
                 raise ParseError("unary negation is not supported by the RP instantiation")
-            return _convert(args[0], bindings)
-        expr = _convert(args[0], bindings)
+            return (yield args[0], bindings)
+        make = _BINARY_OPS[head]
+        expr = yield args[0], bindings
         for arg in args[1:]:
-            expr = _BINARY_OPS[head](expr, _convert(arg, bindings))
+            expr = make(expr, (yield arg, bindings))
         return expr
     if head == "sqrt":
-        return E.Sqrt(_convert(args[0], bindings))
+        return E.Sqrt((yield args[0], bindings))
     if head == "fma":
-        return E.Fma(*(_convert(arg, bindings) for arg in args))
+        operands = []
+        for arg in args:
+            operands.append((yield arg, bindings))
+        return E.Fma(*operands)
     if head == "if":
         guard_form, then_form, else_form = args
-        guard = _convert_guard(guard_form, bindings)
-        return E.Cond(guard, _convert(then_form, bindings), _convert(else_form, bindings))
+        guard = yield from _convert_guard(guard_form, bindings)
+        return E.Cond(guard, (yield then_form, bindings), (yield else_form, bindings))
     if head in ("let", "let*"):
         binding_forms, body = args
         new_bindings = dict(bindings)
         for binding in binding_forms:
             name, value = binding
             scope = new_bindings if head == "let*" else bindings
-            new_bindings[str(name)] = _convert(value, scope)
-        return _convert(body, new_bindings)
+            new_bindings[str(name)] = yield value, scope
+        return (yield body, new_bindings)
     raise ParseError(f"unsupported FPCore operator {head!r}")
 
 
-def _convert_guard(form: SExpr, bindings: Dict[str, E.RealExpr]) -> E.Comparison:
+def _convert_guard(form: SExpr, bindings: Dict[str, E.RealExpr]) -> Generator:
     if not (isinstance(form, list) and len(form) == 3 and form[0] in _COMPARISONS):
         raise ParseError("only simple comparison guards are supported")
-    return E.Comparison(
-        str(form[0]), _convert(form[1], bindings), _convert(form[2], bindings)
-    )
+    return E.Comparison(str(form[0]), (yield form[1], bindings), (yield form[2], bindings))
 
 
 def _ranges_from_precondition(

@@ -15,7 +15,7 @@ observation is one bisect plus two adds, and quantiles (p50/p95/p99) are
 interpolated from the bucket counts at snapshot time, never on the
 request path.  Collector callables (:meth:`MetricsRegistry.counter_func`
 / :meth:`MetricsRegistry.gauge_func`) absorb counters whose storage
-lives elsewhere — the cache farm's sharded :class:`CacheStats`, the
+lives elsewhere — the result cache's :class:`CacheStats`, the
 parse cache, the process-wide bounded memos — without touching their
 lock-guarded mutation paths.
 

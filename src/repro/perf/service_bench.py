@@ -6,7 +6,7 @@ memory-cache speed, versus the one-shot CLI loop that re-pays all of it
 per program.  The harness:
 
 1. starts an in-process server (its own event loop in a daemon thread,
-   ephemeral port) backed by a fresh, memory-only cache farm;
+   ephemeral port) backed by a fresh, memory-only result cache;
 2. warms it with one pass over the benchmark programs (the paper
    examples of :mod:`repro.benchsuite.paper_examples` plus the bundled
    ``examples/programs``);
@@ -686,7 +686,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "server": {
             "jobs": config.jobs,
             "queue_size": config.queue_size,
-            "shards": config.shards,
             "warm_inferences": warm_stats["service"]["inferences"],
         },
         "service_levels": service_levels,

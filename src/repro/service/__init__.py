@@ -14,8 +14,6 @@ request lifecycle is::
 * :mod:`repro.service.scheduler` — the bounded priority queue feeding the
   reusable :class:`repro.analysis.batch.PoolHandle`, with deadlines and
   load shedding;
-* :mod:`repro.service.cachefarm` — the sharded in-memory result cache
-  layered over the bounded disk cache;
 * :mod:`repro.service.cluster` — the worker-process fleet and the
   consistent-hash ring behind ``repro serve --workers N``;
 * :mod:`repro.service.router` — the front-end that shards requests over
@@ -32,7 +30,6 @@ See the "Service layer" and "Cluster layer" sections of
 ``BENCH_service.json``.
 """
 
-from .cachefarm import CacheFarm
 from .client import DEFAULT_PORT, PipelinedClient, ServiceClient, ServiceError
 from .cluster import AnalysisCluster, ClusterConfig, HashRing, WorkerHandle
 from .resilience import CircuitBreaker, RetryPolicy
@@ -50,7 +47,6 @@ __all__ = [
     "AnalysisCluster",
     "AnalysisServer",
     "AnalysisService",
-    "CacheFarm",
     "CircuitBreaker",
     "ClusterConfig",
     "DEFAULT_PORT",

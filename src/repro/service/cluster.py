@@ -6,7 +6,7 @@ AnalysisServer` at ``jobs=1``) on a loopback port of its own.  The
 router (:mod:`repro.service.router`) consistent-hashes every request's
 content key onto one worker, so each worker sees a stable slice of the
 key space and its :class:`~repro.core.inference.JudgementMemo`,
-cache-farm shards and parse memo all stay hot for *its* keys — shard
+result cache and parse memo all stay hot for *its* keys — shard
 affinity is what makes a process fleet better than a process pool.
 
 Design notes

@@ -552,7 +552,7 @@ class RouterServer:
             route_started = time.perf_counter()
             # Both ops route on the *analysis* key of the source, so a
             # program's analyses and validations share a worker — and
-            # therefore a parse memo, judgement memo and cache shard.
+            # therefore a parse memo, judgement memo and result cache.
             loop = asyncio.get_running_loop()
             key = await loop.run_in_executor(
                 None,
@@ -1062,7 +1062,6 @@ class RouterServer:
             for entry in block.get("slow_requests", []) or []:
                 if isinstance(entry, dict):
                     slow_requests.append({**entry, "worker": slot})
-        cache.pop("per_shard", None)
         # Cluster-wide slow log: every worker's ring buffer, slowest first,
         # bounded by the per-worker buffer size.
         slow_requests.sort(key=lambda entry: entry.get("seconds", 0.0), reverse=True)
@@ -1095,8 +1094,8 @@ class RouterServer:
 def _merge_counters(target: Dict[str, Any], block: Dict[str, Any]) -> None:
     """Sum numeric leaves of ``block`` into ``target``, recursing on dicts.
 
-    Lists (per-shard detail) and strings are skipped — the per-worker
-    blocks in the ``workers`` array keep the full fidelity.
+    Lists and strings are skipped — the per-worker blocks in the
+    ``workers`` array keep the full fidelity.
     """
     for key, value in block.items():
         if isinstance(value, bool):

@@ -21,8 +21,8 @@ s-expressions) fall back to :func:`~repro.analysis.cache.source_key`.
 
 The key then drives a three-way admission split:
 
-1. **cache hit** — answered immediately from the
-   :class:`~repro.service.cachefarm.CacheFarm`;
+1. **cache hit** — answered immediately from the service's
+   :class:`~repro.analysis.cache.AnalysisCache`;
 2. **in-flight duplicate** — some earlier request with the same key is
    already scheduled: the new request *coalesces* onto the same future
    and no second inference is ever queued (N concurrent queries for one
@@ -45,8 +45,8 @@ Responses always carry ``status``: ``ok`` (with ``report`` for analyze),
 ``busy`` (queue full, code 429), ``timeout`` (deadline exceeded, code
 504) or ``error`` (malformed request, code 400).  The ``stats`` response
 is the ``/stats`` endpoint of the issue: service counters (requests,
-coalesced, inferences), cache farm shard counters, and scheduler lane /
-shed counters.
+coalesced, inferences), result-cache counters per tier, and scheduler
+lane / shed counters.
 
 Pipelining
 ----------
@@ -78,6 +78,7 @@ from typing import Any, Dict, Optional, Tuple
 from ..analysis.batch import BatchItem, PoolHandle
 from ..analysis.cache import (
     AnalysisCache,
+    CacheStats,
     _LRU,
     config_key,
     make_key,
@@ -98,7 +99,6 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.trace import RequestTrace, requested_trace_id
 from ..tuning.search import parse_fraction
 from ..tuning.stats import tuning_stats
-from .cachefarm import CacheFarm, DEFAULT_SHARD_ENTRIES, DEFAULT_SHARDS
 from .scheduler import (
     PRIORITY_NAMES,
     DeadlineExceeded,
@@ -124,6 +124,17 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 #: Most pipelined requests in flight per connection before the reader
 #: stops pulling new lines (TCP backpressure does the rest).
 DEFAULT_PIPELINE_WINDOW = 1024
+
+#: Memory-tier capacity of the result cache (reports, validation and
+#: tuning results).
+RESULT_CACHE_ENTRIES = 4096
+
+#: Bounds of the hot-path memos: request-body bytes → content key, and
+#: content key → serialized report bytes.  They let a repeated pipelined
+#: request hit the memory tier without re-normalizing the source or
+#: re-encoding the report.
+HOT_KEY_ENTRIES = 4096
+HOT_REPORT_ENTRIES = 1024
 
 
 def _consume_result(future: "asyncio.Future") -> None:
@@ -296,8 +307,6 @@ class ServiceConfig:
 
     jobs: int = 1
     queue_size: int = 256
-    shards: int = DEFAULT_SHARDS
-    shard_entries: int = DEFAULT_SHARD_ENTRIES
     cache_dir: Optional[str] = None  # None: memory-only (no disk tier)
     default_deadline_seconds: Optional[float] = 60.0
     inference: Optional[InferenceConfig] = None
@@ -309,12 +318,6 @@ class ServiceConfig:
     judgement_memo_entries: int = 65_536
     #: Most pipelined (id-tagged) requests in flight per connection.
     pipeline_window: int = DEFAULT_PIPELINE_WINDOW
-    #: Bounds of the hot-path memos: request-body bytes → content key,
-    #: and content key → serialized report bytes.  They let a repeated
-    #: pipelined request hit the memory cache without re-normalizing the
-    #: source or re-encoding the report (0 disables).
-    hot_key_entries: int = 4096
-    hot_report_entries: int = 1024
     #: Inference engine forwarded with every analysis job
     #: ("auto"/"interpreted"/"compiled").  ``auto`` keeps the judgement
     #: memo's cross-request reuse (memoized inference stays interpreted)
@@ -342,14 +345,10 @@ class AnalysisService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
-        # The disk-backed AnalysisCache doubles as the parse memo; with no
-        # cache_dir it still provides (memory-only) parse memoization, it
-        # just isn't attached to the farm as a persistence tier.  Its own
-        # result-memory LRU is kept tiny: the CacheFarm shards are the
-        # memory tier here, and the default 1024 entries would hold every
-        # report in RAM a second time.
-        self._analysis_cache = AnalysisCache(
-            directory=self.config.cache_dir, memory_entries=8
+        # The one result store: a memory LRU over the optional disk tier
+        # (no cache_dir: memory only).  It doubles as the parse memo.
+        self.cache = AnalysisCache(
+            directory=self.config.cache_dir, memory_entries=RESULT_CACHE_ENTRIES
         )
         # Cross-request judgement memo: subterms shared between *different*
         # programs (Horner steps, FMA patterns, a corpus's common helper
@@ -363,14 +362,8 @@ class AnalysisService:
         self.judgement_memo: Optional[JudgementMemo] = None
         if self.config.jobs == 1 and self.config.judgement_memo_entries > 0:
             self.judgement_memo = JudgementMemo(self.config.judgement_memo_entries)
-        self.farm = CacheFarm(
-            shards=self.config.shards,
-            entries_per_shard=self.config.shard_entries,
-            disk=self._analysis_cache if self.config.cache_dir else None,
-            judgement_memo=self.judgement_memo,
-        )
         # One registry per service instance: every counter below, the
-        # scheduler's lanes and queue-wait histogram, and the cache farm's
+        # scheduler's lanes and queue-wait histogram, and the result cache's
         # collector callbacks all land here, so the `{"op": "metrics"}`
         # verb and the Prometheus text see one coherent snapshot.
         self.metrics = MetricsRegistry()
@@ -378,7 +371,7 @@ class AnalysisService:
         self.scheduler = Scheduler(
             pool=self.pool,
             queue_size=self.config.queue_size,
-            parse_cache=self._analysis_cache,
+            parse_cache=self.cache,
             judgement_memo=self.judgement_memo,
             memo_entries=self.config.judgement_memo_entries,
             engine=self.config.engine,
@@ -390,10 +383,8 @@ class AnalysisService:
         # request bytes to the op + content key a full ``handle`` pass
         # computed for them; ``_hot_reports`` caches one JSON encoding per
         # cached report object, so N hits on one report serialize it once.
-        self._hot_keys = _LRU(max(0, self.config.hot_key_entries) or 1)
-        self._hot_enabled = self.config.hot_key_entries > 0
-        self._hot_reports = _LRU(max(0, self.config.hot_report_entries) or 1)
-        self._hot_reports_enabled = self.config.hot_report_entries > 0
+        self._hot_keys = _LRU(HOT_KEY_ENTRIES)
+        self._hot_reports = _LRU(HOT_REPORT_ENTRIES)
         # Dict-shaped view over registry counters: `counters["x"] += 1`
         # and `dict(self.counters)` (the /stats block) both still work.
         self.counters = self.metrics.group(
@@ -413,8 +404,8 @@ class AnalysisService:
             ],
             "Service admission counters.",
         )
-        self.farm.register_metrics(self.metrics)
-        parse_stats = self._analysis_cache.parse_stats
+        self._register_cache_metrics()
+        parse_stats = self.cache.parse_stats
         for field_name in ("hits", "misses"):
             self.metrics.counter_func(
                 f"repro_parse_cache_{field_name}_total",
@@ -482,7 +473,7 @@ class AnalysisService:
         text; their (failed) reports are cached all the same.
         """
         return normalize_request_key(
-            self._analysis_cache, source, kind, self.config.inference
+            self.cache, source, kind, self.config.inference
         )
 
     # -- pipelined fast path -------------------------------------------------
@@ -499,14 +490,12 @@ class AnalysisService:
         takes the full ``handle`` path, which re-validates, probes disk,
         coalesces, or schedules as usual.
         """
-        if not self._hot_enabled:
-            return None
         entry = self._hot_keys.get(body)
         if entry is None:
             return None
         started = time.perf_counter()
         op, key = entry
-        report = self.farm.peek(key)
+        report = self.cache.peek(key)
         if report is None:
             return None
         self.counters["requests"] += 1
@@ -525,13 +514,11 @@ class AnalysisService:
 
     def _report_bytes(self, key: str, report: Any) -> bytes:
         """One JSON encoding per live report object, memoized per key."""
-        if self._hot_reports_enabled:
-            entry = self._hot_reports.get(key)
-            if entry is not None and entry[0] is report:
-                return entry[1]
+        entry = self._hot_reports.get(key)
+        if entry is not None and entry[0] is report:
+            return entry[1]
         data = json.dumps(report.to_dict(), separators=(",", ":")).encode("utf-8")
-        if self._hot_reports_enabled:
-            self._hot_reports.put(key, (report, data))
+        self._hot_reports.put(key, (report, data))
         return data
 
     def remember_key(self, body: bytes, request: Dict[str, Any], response: Dict[str, Any]) -> None:
@@ -541,7 +528,7 @@ class AnalysisService:
         body demands a fresh inference every time, and error/busy/timeout
         responses carry no stable key worth remembering.
         """
-        if not self._hot_enabled or response.get("status") != "ok":
+        if response.get("status") != "ok":
             return
         op = response.get("op")
         if op not in ("analyze", "validate", "tune") or request.get("no_cache"):
@@ -750,34 +737,31 @@ class AnalysisService:
         if not no_cache:
             lookup_started = time.perf_counter()
             tier = "miss"
-            if self.farm.disk is None:
-                cached = self.farm.get(key)  # memory-only: cheap, inline
-                if cached is not None:
-                    tier = "memory"
+            if self.cache.directory is None:
+                cached = self.cache.get(key)  # memory-only: cheap, inline
             else:
-                cached = self.farm.peek(key)
+                cached = self.cache.peek(key)
+            if cached is not None:
+                tier = "memory"
+            elif self.cache.directory is not None:
+                # Disk-tier pickle reads happen off the loop too.  The
+                # exact-text alias only exists for analyze results (it is
+                # the key `repro batch` uses for the same program).
+                cached = await loop.run_in_executor(
+                    None, self._probe_disk_tiers, key, source, kind, op
+                )
                 if cached is not None:
-                    tier = "memory"
+                    tier = "disk"
                 else:
-                    # Disk-tier pickle reads happen off the loop too.  The
-                    # exact-text alias only exists for analyze results (it
-                    # is the key `repro batch` uses for the same program).
-                    cached = await loop.run_in_executor(
-                        None, self._probe_disk_tiers, key, source, kind, op
-                    )
+                    # Re-check the memory tier: an in-flight duplicate may
+                    # have completed (stored its report and deregistered)
+                    # while the disk probe ran off-loop; without this, that
+                    # narrow window would schedule a second inference for
+                    # the same program.  ``count=False``: the probe above
+                    # already recorded this lookup's miss.
+                    cached = self.cache.peek(key, count=False)
                     if cached is not None:
-                        tier = "disk"
-                    else:
-                        # Re-check the memory tier: an in-flight duplicate
-                        # may have completed (stored its report and
-                        # deregistered) while the disk probe ran off-loop;
-                        # without this, that narrow window would schedule
-                        # a second inference for the same program.
-                        # ``count=False``: the probe above already recorded
-                        # this lookup's miss.
-                        cached = self.farm.peek(key, count=False)
-                        if cached is not None:
-                            tier = "memory"
+                        tier = "memory"
             lookup_seconds = time.perf_counter() - lookup_started
             self._observe_cache_lookup(tier, lookup_seconds)
             if trace is not None:
@@ -795,7 +779,7 @@ class AnalysisService:
 
         # ``no_cache`` opts out of coalescing too: such a request demands a
         # fresh inference, and letting cache-respecting duplicates ride it
-        # would produce results that never reach the farm.
+        # would produce results that never reach the cache.
         inflight = self._inflight.get(key) if not no_cache else None
         if inflight is not None:
             # Coalesce: ride the in-flight computation instead of queueing
@@ -929,8 +913,8 @@ class AnalysisService:
                 ).observe(value)
         if no_cache:
             return
-        self.farm.put(job.key, report, write_disk=False)
-        if self.farm.disk is not None:
+        self.cache.put(job.key, report, persist=False)
+        if self.cache.directory is not None:
             # Persist asynchronously (pickle writes + budget eviction can
             # take milliseconds): responses never wait on disk.  Validation
             # results skip the exact-text alias — that key is the batch
@@ -959,32 +943,28 @@ class AnalysisService:
         self, key: str, source: str, kind: str, op: str = "analyze"
     ) -> Any:
         """Blocking cache probe (disk included); runs on the executor."""
-        cached = self.farm.get(key)
-        if cached is None and self.farm.disk is not None and op == "analyze":
-            # The alias probe goes straight to the disk tier: routing it
-            # through the farm would count a second shard miss for one
-            # logical lookup (in a shard the real key doesn't map to) and
-            # duplicate the entry in memory under both keys.
+        cached = self.cache.get(key)
+        if cached is None and op == "analyze":
+            # The alias probe reads the disk tier only: a full lookup would
+            # count a second miss for one logical lookup and hold the entry
+            # in memory under both keys.
             alias = self._alias_key(source, kind)
             if alias != key:
-                cached = self.farm.disk.get(alias, None)
+                cached = self.cache.read_disk(alias)
                 if cached is not None:
-                    self.farm.put(key, cached, write_disk=False)
+                    self.cache.put(key, cached, persist=False)
         return cached
 
     def _persist(
         self, key: str, source: str, kind: str, report: Any, alias_too: bool = True
     ) -> None:
         """Blocking disk write-back; runs on the executor."""
-        disk = self.farm.disk
-        if disk is None:
-            return
-        disk.put(key, report)
+        self.cache.write_disk(key, report)
         if not alias_too:
             return
         alias = self._alias_key(source, kind)
         if alias != key:
-            disk.put(alias, report)
+            self.cache.write_disk(alias, report)
 
     def _ok(
         self,
@@ -1032,14 +1012,76 @@ class AnalysisService:
 
     # -- reporting -----------------------------------------------------------
 
+    def _tier_stats(self) -> Tuple[CacheStats, CacheStats]:
+        """Memory- and disk-tier views of the result cache's counters.
+
+        ``cache.stats`` counts a disk promotion as a hit (what a caller of
+        ``get`` sees); per tier it is a memory miss plus a disk hit.  Every
+        put is written through to disk (here, off the loop by ``_persist``).
+        """
+        stats, disk_hits = self.cache.stats, self.cache.disk_hits
+        memory = CacheStats(
+            stats.hits - disk_hits, stats.misses + disk_hits, stats.puts, stats.evictions
+        )
+        disk = CacheStats(disk_hits, stats.misses, stats.puts, self.cache.disk_evictions)
+        return memory, disk
+
+    def _register_cache_metrics(self) -> None:
+        """Collector callbacks over the result cache's counters, sampled at
+        snapshot time: the request path pays nothing for them."""
+        tiers = ["memory"] + (["disk"] if self.cache.directory is not None else [])
+        for index, tier in enumerate(tiers):
+            for field_name in ("hits", "misses", "puts", "evictions"):
+                self.metrics.counter_func(
+                    f"repro_cache_{field_name}_total",
+                    lambda i=index, f=field_name: getattr(self._tier_stats()[i], f),
+                    f"Result-cache {tier}-tier counters.",
+                    tier=tier,
+                )
+        self.metrics.gauge_func(
+            "repro_cache_entries",
+            lambda: self.cache.entries,
+            "Live entries in the memory tier.",
+            tier="memory",
+        )
+        self.metrics.counter_func(
+            "repro_cache_disk_hits_total",
+            lambda: self.cache.disk_hits,
+            "Memory misses served by the disk tier.",
+        )
+        memo = self.judgement_memo
+        if memo is not None:
+            for field_name in ("hits", "misses"):
+                self.metrics.counter_func(
+                    f"repro_judgement_memo_{field_name}_total",
+                    lambda f=field_name: getattr(memo, f),
+                    "Cross-request subterm judgement memo counters.",
+                )
+
+    def _cache_report(self) -> Dict[str, Any]:
+        """The ``cache`` block of ``/stats``: memory-tier counters, the disk
+        tier when there is one, and the cross-request judgement memo."""
+        memory, disk = self._tier_stats()
+        report: Dict[str, Any] = {
+            "entries": self.cache.entries,
+            **memory.to_dict(),
+            "disk_hits": self.cache.disk_hits,
+        }
+        if self.cache.directory is not None:
+            disk_entries, disk_bytes = self.cache.disk_usage()
+            report["disk"] = {**disk.to_dict(), "entries": disk_entries, "bytes": disk_bytes}
+        if self.judgement_memo is not None:
+            report["judgement_memo"] = self.judgement_memo.stats()
+        return report
+
     def stats(self) -> Dict[str, Any]:
         """The ``/stats`` payload: service, cache and scheduler counters."""
         out = {
             "uptime_seconds": time.monotonic() - self.started_at,
             "service": dict(self.counters),
             "inflight": len(self._inflight),
-            "cache": self.farm.stats(),
-            "parse_cache": self._analysis_cache.parse_stats.to_dict(),
+            "cache": self._cache_report(),
+            "parse_cache": self.cache.parse_stats.to_dict(),
             "scheduler": self.scheduler.stats(),
             # Process-wide bounded memos (grade add/mul LRUs, intern
             # tables, fingerprint/free-variable memos, exactmath caches):

@@ -9,6 +9,7 @@ ephemeral port checks the wire protocol and the blocking client.
 
 import asyncio
 import os
+import sys
 import threading
 
 import pytest
@@ -18,7 +19,6 @@ from repro.analysis.cache import AnalysisCache
 from repro.service import (
     AnalysisServer,
     AnalysisService,
-    CacheFarm,
     PRIORITY_BULK,
     PRIORITY_INTERACTIVE,
     Scheduler,
@@ -65,52 +65,96 @@ async def wait_until(predicate, timeout=10.0):
 
 
 # ---------------------------------------------------------------------------
-# Cache farm
+# The service's result cache
 # ---------------------------------------------------------------------------
 
 
-class TestCacheFarm:
+class TestResultCache:
     KEY = "deadbeef" * 8
 
     def test_put_get_roundtrip(self):
-        farm = CacheFarm(shards=4, entries_per_shard=8)
-        farm.put(self.KEY, {"value": 1})
-        assert farm.get(self.KEY) == {"value": 1}
-        assert self.KEY in farm
-        assert farm.get("0" * 64) is None
+        cache = AnalysisCache(memory_entries=8)
+        cache.put(self.KEY, {"value": 1})
+        assert cache.get(self.KEY) == {"value": 1}
+        assert self.KEY in cache
+        assert cache.get("0" * 64) is None
 
     def test_stats_shape_and_counters(self):
-        farm = CacheFarm(shards=2, entries_per_shard=4)
-        farm.put(self.KEY, 1)
-        farm.get(self.KEY)
-        farm.get("0" * 64)
-        stats = farm.stats()
-        assert stats["shards"] == 2
-        assert stats["hits"] == 1 and stats["misses"] == 1 and stats["puts"] == 1
-        assert len(stats["per_shard"]) == 2
-        assert {"hits", "misses", "puts", "evictions", "entries"} <= set(
-            stats["per_shard"][0]
-        )
+        cache = AnalysisCache(memory_entries=4)
+        cache.put(self.KEY, 1)
+        cache.get(self.KEY)
+        cache.get("0" * 64)
+        assert cache.stats.to_dict() == {
+            "hits": 1, "misses": 1, "puts": 1, "evictions": 0, "lookups": 2,
+        }
+        assert cache.entries == 1
+        assert cache.disk_hits == 0
 
     def test_lru_eviction_is_counted(self):
-        farm = CacheFarm(shards=1, entries_per_shard=2)
+        cache = AnalysisCache(memory_entries=2)
         for index in range(4):
-            farm.put(f"{index:08x}" + "0" * 56, index)
-        assert farm.entries == 2
-        assert farm.stats()["evictions"] == 2
+            cache.put(f"{index:08x}" + "0" * 56, index)
+        assert cache.entries == 2
+        assert cache.stats.evictions == 2
 
     def test_disk_tier_promotion(self, tmp_path):
-        disk = AnalysisCache(directory=str(tmp_path))
-        farm = CacheFarm(shards=2, entries_per_shard=4, disk=disk)
-        farm.put(self.KEY, "persisted")
-        # A fresh farm over the same directory misses memory, hits disk.
-        rebooted = CacheFarm(shards=2, entries_per_shard=4, disk=AnalysisCache(directory=str(tmp_path)))
+        AnalysisCache(directory=str(tmp_path)).put(self.KEY, "persisted")
+        # A fresh cache over the same directory misses memory, hits disk.
+        rebooted = AnalysisCache(directory=str(tmp_path))
         assert rebooted.get(self.KEY) == "persisted"
         assert rebooted.disk_hits == 1
         # And the value was promoted: the second read is a memory hit.
+        assert rebooted.peek(self.KEY) == "persisted"
         assert rebooted.get(self.KEY) == "persisted"
         assert rebooted.disk_hits == 1
-        assert "disk" in rebooted.stats()
+        assert rebooted.stats.hits == 3 and rebooted.stats.misses == 0
+
+    def test_peek_counts_hits_only(self, tmp_path):
+        AnalysisCache(directory=str(tmp_path)).put(self.KEY, 1)
+        cache = AnalysisCache(directory=str(tmp_path))
+        # Memory only: the entry on disk is invisible, and the miss is
+        # left for the follow-up ``get`` to count.
+        assert cache.peek(self.KEY) is None
+        assert cache.stats.lookups == 0
+        cache.put("0" * 64, 2, persist=False)
+        assert cache.peek("0" * 64, count=False) == 2
+        assert cache.stats.lookups == 0
+        assert cache.peek("0" * 64) == 2
+        assert cache.stats.hits == 1 and cache.stats.misses == 0
+        assert cache.disk_hits == 0
+        # ``persist=False`` wrote nothing; ``write_disk`` does.
+        assert cache.read_disk("0" * 64) is None
+        cache.write_disk("0" * 64, 2)
+        assert cache.read_disk("0" * 64) == 2
+
+
+    def test_counters_survive_concurrent_traffic(self):
+        # The event loop and executor threads share one memory tier: with
+        # a tiny switch interval, a lost counter update would show.
+        cache = AnalysisCache(memory_entries=16)
+        workers, rounds = 8, 1000
+
+        def traffic(seed):
+            for index in range(rounds):
+                key = f"{(seed + index) % 32:08x}" + "0" * 56
+                cache.put(key, index)
+                cache.get(key)
+                cache.peek(key, count=False)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=traffic, args=(seed,)) for seed in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache.stats.puts == workers * rounds
+        assert cache.stats.lookups == workers * rounds
+        assert cache.entries <= 16
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +440,7 @@ class TestAnalysisService:
 
     def test_shared_subexpressions_hit_the_judgement_memo_across_requests(self):
         # Two *different* programs with a common body: distinct request
-        # keys (no farm hit, two inferences), but the second inference
+        # keys (no cache hit, two inferences), but the second inference
         # reuses the first one's subterm judgements through the shared
         # cross-request memo — and /stats makes that observable.
         shared_body = (
@@ -433,13 +477,13 @@ class TestAnalysisService:
         service = AnalysisService(ServiceConfig(jobs=2))
         assert service.judgement_memo is None
         assert service.scheduler.judgement_memo is None
-        assert "judgement_memo" not in service.farm.stats()
+        assert "judgement_memo" not in service.stats()["cache"]
 
     def test_worker_reuses_the_admission_parse(self):
         async def scenario():
             service = await make_service()
             await service.handle({"op": "analyze", "source": FMA_SOURCE})
-            stats = service._analysis_cache.parse_stats
+            stats = service.cache.parse_stats
             # Admission parsed once (miss) for key normalization; the
             # thread-mode worker must hit that memo, not re-parse.
             assert stats.misses == 1
@@ -473,7 +517,7 @@ class TestAnalysisService:
             assert [r["status"] for r in responses] == ["ok", "ok"]
             # The no_cache request must run its own inference (riding the
             # cached-path future would skip the fresh run it demanded),
-            # and the cache-respecting one still populates the farm.
+            # and the cache-respecting one still populates the cache.
             assert service.counters["inferences"] == 2
             assert service.counters["coalesced"] == 0
             repeat = await service.handle({"op": "analyze", "source": FMA_SOURCE})
@@ -596,6 +640,29 @@ class TestAnalysisService:
         other = FMA_SOURCE.replace("FMA", "FMB")
         assert warm.get(source_key(other, "lnum", None)) is not None
 
+    def test_disk_promotion_counts_as_a_memory_miss(self, tmp_path):
+        async def scenario():
+            warm = await make_service(cache_dir=str(tmp_path))
+            await warm.handle({"op": "analyze", "source": FMA_SOURCE})
+            # The report and its exact-text alias are persisted off-loop.
+            await wait_until(
+                lambda: sum(name.endswith(".pkl") for name in os.listdir(tmp_path)) == 2
+            )
+            await warm.stop()
+            service = await make_service(cache_dir=str(tmp_path))
+            for _ in range(2):
+                response = await service.handle({"op": "analyze", "source": FMA_SOURCE})
+                assert response["cached"], response
+            cache = service.stats()["cache"]
+            # First request: a memory miss served by disk; second: a memory hit.
+            assert (cache["hits"], cache["misses"], cache["lookups"]) == (1, 1, 2)
+            assert cache["disk_hits"] == 1
+            assert (cache["disk"]["hits"], cache["disk"]["misses"]) == (1, 0)
+            assert cache["entries"] == 1
+            await service.stop()
+
+        run(scenario())
+
     def test_late_completion_is_cached_for_retries(self, monkeypatch):
         # An inference that outlives its client's deadline still finishes;
         # its report must land in the cache so a retry is served instantly
@@ -621,7 +688,7 @@ class TestAnalysisService:
             riding = await service.handle({"op": "analyze", "source": FMA_SOURCE})
             assert riding["status"] == "ok" and riding["coalesced"]
             assert service.counters["scheduled"] == 1
-            await wait_until(lambda: service.farm.entries > 0)
+            await wait_until(lambda: service.cache.entries > 0)
             retry = await service.handle({"op": "analyze", "source": FMA_SOURCE})
             assert retry["status"] == "ok" and retry["cached"]
             assert service.counters["inferences"] == 1
@@ -753,7 +820,9 @@ class TestAnalysisService:
                 "busy",
                 "timeouts",
             } <= set(stats["service"])
-            assert {"hits", "misses", "per_shard", "shards"} <= set(stats["cache"])
+            assert {
+                "hits", "misses", "puts", "evictions", "lookups", "entries", "disk_hits",
+            } <= set(stats["cache"])
             assert {"queue_depth", "shed", "lanes"} <= set(stats["scheduler"])
             await service.stop()
 
