@@ -243,43 +243,11 @@ class BatchResult:
 # ---------------------------------------------------------------------------
 
 
-#: The worker process's own cross-item judgement memo (see
-#: :func:`process_judgement_memo`).
-_PROCESS_MEMO_LOCK = threading.Lock()
-_PROCESS_JUDGEMENT_MEMO = None
-
-
-def process_judgement_memo(entries: int):
-    """This process's own cross-item :class:`JudgementMemo`, lazily built.
-
-    A :class:`~repro.core.inference.JudgementMemo` cannot travel between
-    processes, but nothing stops each *pool worker process* from keeping
-    its own: subterms shared between the items a worker happens to
-    receive are still inferred once per worker lifetime.  The memo is a
-    module-level singleton so it survives across pool tasks; the first
-    caller's ``entries`` fixes the capacity (workers of one pool all pass
-    the same configuration).  ``entries <= 0`` disables.
-    """
-    global _PROCESS_JUDGEMENT_MEMO
-    if entries <= 0:
-        return None
-    memo = _PROCESS_JUDGEMENT_MEMO
-    if memo is None:
-        with _PROCESS_MEMO_LOCK:
-            memo = _PROCESS_JUDGEMENT_MEMO
-            if memo is None:
-                from ..core.inference import JudgementMemo
-
-                memo = _PROCESS_JUDGEMENT_MEMO = JudgementMemo(entries)
-    return memo
-
-
 def _analyze_item(
     item: BatchItem,
     config: Optional[InferenceConfig],
     cache: Optional[AnalysisCache] = None,
     memo=None,
-    memo_entries: Optional[int] = None,
     engine: str = "auto",
 ) -> ProgramReport:
     """Analyse one program; analysis errors become failed reports.
@@ -289,13 +257,8 @@ def _analyze_item(
     skips the parser.  ``memo`` (a
     :class:`~repro.core.inference.JudgementMemo`, in-process only) reuses
     subterm judgements across items — common subexpressions shared by many
-    programs of a corpus are inferred once.  When no memo travels with the
-    call but ``memo_entries`` is set, the executing process falls back to
-    its own :func:`process_judgement_memo` — this is how process-pool
-    workers get cross-request memo reuse without sharing memory.
+    programs of a corpus are inferred once.
     """
-    if memo is None and memo_entries:
-        memo = process_judgement_memo(memo_entries)
     instrumentation = Instrumentation()
     start = time.perf_counter()
     try:
@@ -374,16 +337,14 @@ class PoolHandle:
     """A lazily-created, *reusable* executor for analysis work.
 
     Historically every ``map_tasks`` call span up (and tore down) its own
-    ``ProcessPoolExecutor``; long-lived callers — the ``repro serve``
-    scheduler, repeated table runs — would re-pay worker startup on every
+    ``ProcessPoolExecutor``; long-lived callers — repeated table runs,
+    validation and tuning sweeps — would re-pay worker startup on every
     batch.  A handle creates its executor on first use and keeps it until
     :meth:`close`.
 
     ``jobs > 1`` is backed by a ``ProcessPoolExecutor`` with ``jobs``
     workers; ``jobs <= 1`` by a single worker *thread*, which keeps
-    execution in-process (sharing the intern tables and parse memos) while
-    still providing the non-blocking ``submit`` surface asyncio callers
-    need via ``run_in_executor``.
+    execution in-process (sharing the intern tables and parse memos).
     """
 
     def __init__(self, jobs: Optional[int] = None) -> None:
@@ -554,7 +515,7 @@ class BatchAnalyzer:
         computed = self.map_tasks(
             _analyze_item,
             [
-                (items[index], self.config, local_cache, None, None, self.engine)
+                (items[index], self.config, local_cache, None, self.engine)
                 for index in pending
             ],
         )

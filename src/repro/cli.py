@@ -125,10 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7351, help="TCP port (0 picks a free one)"
     )
     serve.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="inference workers (1: in-process thread; N>1: process pool)",
-    )
-    serve.add_argument(
         "-w", "--workers", type=int, default=1, metavar="N",
         help="cluster worker processes: N>1 starts a router that "
         "consistent-hashes requests onto N shard-affine workers "
@@ -648,20 +644,15 @@ def _command_perf(arguments: argparse.Namespace) -> int:
     return bench.run(arguments)
 
 
-def _command_serve(arguments: argparse.Namespace) -> int:
-    import asyncio
+def _service_config(arguments: argparse.Namespace):
+    """The :class:`ServiceConfig` one ``repro serve`` server (or each
+    cluster worker) runs, from the parsed command line."""
+    from .service import ServiceConfig
 
-    from .obs.logs import configure_logging
-    from .service import AnalysisServer, AnalysisService, ServiceConfig
-
-    if getattr(arguments, "workers", 1) > 1:
-        return _serve_cluster(arguments)
-    configure_logging(arguments.log_level, arguments.log_json)
     cache_dir = None
     if not arguments.no_cache:
         cache_dir = arguments.cache_dir or default_cache_directory()
-    config = ServiceConfig(
-        jobs=arguments.jobs,
+    return ServiceConfig(
         queue_size=arguments.queue_size,
         cache_dir=cache_dir,
         default_deadline_seconds=arguments.deadline or None,
@@ -671,6 +662,18 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         log_json=arguments.log_json,
         faults=arguments.faults or None,
     )
+
+
+def _command_serve(arguments: argparse.Namespace) -> int:
+    import asyncio
+
+    from .obs.logs import configure_logging
+    from .service import AnalysisServer, AnalysisService
+
+    if getattr(arguments, "workers", 1) > 1:
+        return _serve_cluster(arguments)
+    configure_logging(arguments.log_level, arguments.log_json)
+    config = _service_config(arguments)
     server = AnalysisServer(
         AnalysisService(config), host=arguments.host, port=arguments.port
     )
@@ -678,8 +681,8 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     async def _serve() -> None:
         host, port = await server.start()
         print(f"repro serve: listening on {host}:{port} "
-              f"(jobs={config.jobs}, queue={config.queue_size}, "
-              f"cache={'disk:' + cache_dir if cache_dir else 'memory'})",
+              f"(queue={config.queue_size}, "
+              f"cache={'disk:' + config.cache_dir if config.cache_dir else 'memory'})",
               flush=True)
         await server.serve_forever()
 
@@ -695,23 +698,10 @@ def _serve_cluster(arguments: argparse.Namespace) -> int:
     import asyncio
 
     from .obs.logs import configure_logging
-    from .service import ClusterConfig, RouterServer, ServiceConfig
+    from .service import ClusterConfig, RouterServer
 
     configure_logging(arguments.log_level, arguments.log_json, process_name="router")
-    cache_dir = None
-    if not arguments.no_cache:
-        cache_dir = arguments.cache_dir or default_cache_directory()
-    service = ServiceConfig(
-        jobs=arguments.jobs,
-        queue_size=arguments.queue_size,
-        cache_dir=cache_dir,
-        default_deadline_seconds=arguments.deadline or None,
-        inference=_config_from_arguments(arguments),
-        engine=arguments.engine,
-        log_level=arguments.log_level,
-        log_json=arguments.log_json,
-        faults=arguments.faults or None,
-    )
+    service = _service_config(arguments)
     router = RouterServer(
         config=ClusterConfig(workers=arguments.workers, service=service),
         host=arguments.host,
@@ -722,7 +712,7 @@ def _serve_cluster(arguments: argparse.Namespace) -> int:
         host, port = await router.start()
         print(f"repro serve: router listening on {host}:{port} "
               f"(workers={arguments.workers}, queue={service.queue_size}, "
-              f"cache={'disk:' + cache_dir if cache_dir else 'memory'})",
+              f"cache={'disk:' + service.cache_dir if service.cache_dir else 'memory'})",
               flush=True)
         await router.serve_forever()
 

@@ -250,25 +250,26 @@ def _ranges_from_precondition(
     """Extract per-variable boxes from a conjunction of simple range constraints."""
     ranges: Dict[str, List[Optional[Fraction]]] = {name: [None, None] for name in arguments}
 
-    def visit(form: object) -> None:
+    # An explicit stack, so a deeply nested ``:pre`` cannot exhaust the
+    # recursion limit.  Conjuncts are pushed reversed and so visited left
+    # to right: a later bound on the same variable still wins.
+    stack = [precondition]
+    while stack:
+        form = stack.pop()
         if not isinstance(form, list) or not form:
-            return
+            continue
         head = form[0]
         if head == "and":
-            for sub in form[1:]:
-                visit(sub)
-            return
-        if head in ("<=", "<") and len(form) == 3:
-            low, high = form[1], form[2]
-            if isinstance(low, Fraction) and isinstance(high, str) and high in ranges:
-                ranges[high][0] = low
-            if isinstance(low, str) and low in ranges and isinstance(high, Fraction):
-                ranges[low][1] = high
-            return
-        if head in (">=", ">") and len(form) == 3:
-            visit(["<=" if head == ">=" else "<", form[2], form[1]])
+            stack.extend(reversed(form[1:]))
+            continue
+        if len(form) != 3 or head not in ("<=", "<", ">=", ">"):
+            continue
+        low, high = (form[1], form[2]) if head in ("<=", "<") else (form[2], form[1])
+        if isinstance(low, Fraction) and isinstance(high, str) and high in ranges:
+            ranges[high][0] = low
+        if isinstance(low, str) and low in ranges and isinstance(high, Fraction):
+            ranges[low][1] = high
 
-    visit(precondition)
     result: Dict[str, Tuple[Fraction, Fraction]] = {}
     for name, (low, high) in ranges.items():
         if low is not None and high is not None:

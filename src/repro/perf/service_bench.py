@@ -564,9 +564,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="measurement window per level (default 2.0)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, help="server inference workers"
-    )
-    parser.add_argument(
         "--cold-iters", type=int, default=2,
         help="rounds over the corpus for the cold one-shot baseline",
     )
@@ -619,7 +616,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     corpus = bench_sources()
     progress(f"corpus: {len(corpus)} program(s)")
 
-    config = ServiceConfig(jobs=arguments.jobs, queue_size=max(512, 8 * max(levels)))
+    config = ServiceConfig(queue_size=max(512, 8 * max(levels)))
     with _ServerHarness(config) as harness:
         progress(f"server up on port {harness.port}; warming cache ...")
         with ServiceClient(port=harness.port) as client:
@@ -684,7 +681,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "platform": platform.platform(),
         "corpus": [name for name, _kind, _source in corpus],
         "server": {
-            "jobs": config.jobs,
             "queue_size": config.queue_size,
             "warm_inferences": warm_stats["service"]["inferences"],
         },

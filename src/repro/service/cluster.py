@@ -2,7 +2,7 @@
 
 One :class:`AnalysisCluster` owns N worker *processes*, each running the
 unmodified single-process server core (:class:`~repro.service.server.
-AnalysisServer` at ``jobs=1``) on a loopback port of its own.  The
+AnalysisServer`, inference in-process) on a loopback port of its own.  The
 router (:mod:`repro.service.router`) consistent-hashes every request's
 content key onto one worker, so each worker sees a stable slice of the
 key space and its :class:`~repro.core.inference.JudgementMemo`,
@@ -47,6 +47,19 @@ __all__ = [
 ]
 
 DEFAULT_VIRTUAL_NODES = 64
+
+#: Seconds to wait for a spawned worker to report its port.
+SPAWN_TIMEOUT = 60.0
+#: Supervision cadence and ping patience (router-side), in seconds.
+PING_INTERVAL = 2.0
+PING_TIMEOUT = 15.0
+#: Most router-side requests outstanding per worker before new ones are
+#: shed with ``busy`` (the worker's own queue bound still applies behind
+#: this).
+MAX_PENDING_PER_WORKER = 8192
+#: Consecutive failures that open a worker slot's circuit breaker
+#: (router-side; the supervision ping is the half-open probe).
+BREAKER_FAILURES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +201,9 @@ class ClusterConfig:
     workers: int = 2
     #: Template for every worker's service core.  ``cache_dir`` is
     #: treated as the *base* directory: slot ``i`` stores its disk tier
-    #: under ``<cache_dir>/worker-<i>``.  ``jobs`` is forced to 1 —
-    #: cluster parallelism comes from the fleet, and an in-process
-    #: worker is what owns a cross-request judgement memo.
+    #: under ``<cache_dir>/worker-<i>``.
     service: ServiceConfig = field(default_factory=ServiceConfig)
-    virtual_nodes: int = DEFAULT_VIRTUAL_NODES
     host: str = "127.0.0.1"
-    #: Seconds to wait for a spawned worker to report its port.
-    spawn_timeout: float = 60.0
-    #: Supervision cadence and ping patience (router-side).
-    ping_interval: float = 2.0
-    ping_timeout: float = 15.0
-    #: Most router-side requests outstanding per worker before new ones
-    #: are shed with ``busy`` (the worker's own queue bound still
-    #: applies behind this).
-    max_pending_per_worker: int = 8192
-    #: Consecutive failures that open a worker slot's circuit breaker
-    #: (router-side; the supervision ping is the half-open probe).
-    breaker_failures: int = 5
 
 
 class AnalysisCluster:
@@ -221,9 +219,7 @@ class AnalysisCluster:
         self.config = config or ClusterConfig()
         if self.config.workers < 1:
             raise ValueError("a cluster needs at least one worker")
-        self.ring = HashRing(
-            range(self.config.workers), self.config.virtual_nodes
-        )
+        self.ring = HashRing(range(self.config.workers))
         self.handles: List[Optional[WorkerHandle]] = [None] * self.config.workers
         self.restarts = 0
         self._context = multiprocessing.get_context("spawn")
@@ -240,8 +236,8 @@ class AnalysisCluster:
         # cap: the router sheds with ``busy`` *before* the worker's
         # connection reader would ever block, so health-check pings are
         # never stuck behind a stalled window.
-        window = max(template.pipeline_window, 2 * self.config.max_pending_per_worker)
-        return replace(template, jobs=1, cache_dir=cache_dir, pipeline_window=window)
+        window = max(template.pipeline_window, 2 * MAX_PENDING_PER_WORKER)
+        return replace(template, cache_dir=cache_dir, pipeline_window=window)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -269,10 +265,10 @@ class AnalysisCluster:
         process.start()
         child_pipe.close()
         try:
-            if not parent_pipe.poll(self.config.spawn_timeout):
+            if not parent_pipe.poll(SPAWN_TIMEOUT):
                 raise RuntimeError(
                     f"worker {slot} did not report a port within "
-                    f"{self.config.spawn_timeout:.0f}s"
+                    f"{SPAWN_TIMEOUT:.0f}s"
                 )
             status, value = parent_pipe.recv()
         except (EOFError, OSError, RuntimeError) as error:
@@ -325,7 +321,7 @@ class AnalysisCluster:
     def describe(self) -> Dict[str, Any]:
         return {
             "workers": self.config.workers,
-            "virtual_nodes": self.config.virtual_nodes,
+            "virtual_nodes": self.ring.virtual_nodes,
             "restarts": self.restarts,
             "slots": [
                 {

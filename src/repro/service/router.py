@@ -45,7 +45,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..analysis.cache import AnalysisCache, _LRU
 from ..obs.metrics import MetricsRegistry, render_prometheus
 from ..obs.trace import requested_trace_id
-from .cluster import AnalysisCluster, ClusterConfig, WorkerHandle
+from .cluster import (
+    BREAKER_FAILURES,
+    MAX_PENDING_PER_WORKER,
+    PING_INTERVAL,
+    PING_TIMEOUT,
+    AnalysisCluster,
+    ClusterConfig,
+    WorkerHandle,
+)
 from .resilience import CircuitBreaker, decrement_deadline
 from .server import (
     MAX_REQUEST_BYTES,
@@ -345,7 +353,7 @@ class RouterServer:
         # retryable-503 path instead of queueing onto a sick worker, and
         # the supervision ping doubles as the half-open probe.
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(self.cluster.config.breaker_failures)
+            CircuitBreaker(BREAKER_FAILURES)
             for _ in range(self.cluster.config.workers)
         ]
         self.metrics.gauge_func(
@@ -696,7 +704,7 @@ class RouterServer:
                 _retryable_error(f"worker {slot} circuit open; retry shortly"),
             )
             return
-        if link.pending >= self.cluster.config.max_pending_per_worker:
+        if link.pending >= MAX_PENDING_PER_WORKER:
             self.counters["shed"] += 1
             self._respond_local(
                 client,
@@ -892,10 +900,8 @@ class RouterServer:
 
     async def _supervise(self, slot: int) -> None:
         """Watchdog: process liveness + periodic health-check pings."""
-        interval = self.cluster.config.ping_interval
-        timeout = self.cluster.config.ping_timeout
         while True:
-            await asyncio.sleep(interval)
+            await asyncio.sleep(PING_INTERVAL)
             if self._stopping:
                 return
             link = self._links[slot]
@@ -913,7 +919,7 @@ class RouterServer:
                 link.state = "restarting"
                 self._worker_lost(link)
                 continue
-            response = await self._probe(slot, {"op": "ping"}, timeout)
+            response = await self._probe(slot, {"op": "ping"}, PING_TIMEOUT)
             if response is None and link.state == "up" and not self._stopping:
                 # Hung worker: kill it; the EOF path does the rest.
                 await asyncio.get_running_loop().run_in_executor(None, handle.kill)

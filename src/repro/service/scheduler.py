@@ -1,4 +1,4 @@
-"""Bounded, deadline-aware work queue between the server and the pool.
+"""Bounded, deadline-aware work queue between the server and inference.
 
 The front-end (:mod:`repro.service.server`) admits and coalesces
 requests; this module decides *when* the surviving unit of work actually
@@ -24,11 +24,12 @@ runs.  Three concerns live here:
   ``asyncio.wait_for`` (see ``server._await_report``), so it is released
   on time even though the inference keeps going.
 
-Workers are plain asyncio tasks that pull jobs and run
-:func:`repro.analysis.batch.analyze_item` on the shared
-:class:`~repro.analysis.batch.PoolHandle` executor — worker *threads* for
-``jobs=1`` (in-process, shares the intern tables and parse memo), a
-process pool for ``jobs>1``.
+One asyncio task pulls jobs and runs
+:func:`repro.analysis.batch.analyze_item` (or the validation / tuning
+work unit) on the scheduler's one executor thread: inference stays
+in-process, sharing the intern tables, the parse memo and the
+cross-request judgement memo.  A server scales out through the cluster
+(:mod:`repro.service.cluster`), not through a pool inside one server.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ import asyncio
 import itertools
 import logging
 import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from ..analysis.batch import BatchItem, PoolHandle, ProgramReport, analyze_item
+from ..analysis.batch import BatchItem, ProgramReport, analyze_item
 from ..analysis.cache import AnalysisCache
 from ..core.inference import InferenceConfig
 from ..obs.metrics import CounterGroup, MetricsRegistry
@@ -87,8 +88,8 @@ class Job:
     #: Which worker function runs the job: "analyze" (the default) or
     #: "validate" (the differential soundness harness).
     kind: str = "analyze"
-    #: Extra work parameters (the validation sampling options), pickled to
-    #: process-pool workers alongside the item.
+    #: Extra work parameters (the validation sampling or tuning options),
+    #: passed to the work unit alongside the item.
     params: Optional[Dict[str, Any]] = None
     #: Time spent queued (stamped by the dispatching worker); feeds the
     #: ``queue.wait`` trace span and the queue-wait histogram.
@@ -101,49 +102,38 @@ class Job:
 
 
 class Scheduler:
-    """Priority queue + asyncio workers over a reusable executor pool."""
+    """Priority queue + one asyncio worker over a one-thread executor."""
 
     def __init__(
         self,
-        pool: Optional[PoolHandle] = None,
         queue_size: int = 256,
-        workers: Optional[int] = None,
         parse_cache: Optional["AnalysisCache"] = None,
         judgement_memo=None,
-        memo_entries: Optional[int] = None,
         engine: str = "auto",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.pool = pool or PoolHandle(1)
-        # With a thread-mode pool (jobs=1) the worker runs in-process, so
-        # it can share the service's (lock-guarded) parse memo and skip
-        # re-parsing sources the admission path already parsed for key
-        # normalization.  Process pools get None: the memo doesn't travel.
-        # The judgement memo follows the same rule in-process: it carries
-        # subterm judgements *across requests* (corpus-wide common
-        # subexpressions infer once per server lifetime).  A process pool
-        # cannot share the object — instead ``memo_entries`` travels with
-        # every submission and each pool worker process lazily builds its
-        # *own* cross-request memo of that capacity
-        # (:func:`repro.analysis.batch.process_judgement_memo`), so shard
-        # affinity still pays off at jobs>1.
-        self.parse_cache = parse_cache if self.pool.jobs == 1 else None
-        self.judgement_memo = judgement_memo if self.pool.jobs == 1 else None
-        self.memo_entries = memo_entries if self.pool.jobs > 1 else None
+        # Inference runs in-process, so the worker shares the service's
+        # (lock-guarded) parse memo and skips re-parsing sources the
+        # admission path already parsed for key normalization.  The
+        # judgement memo carries subterm judgements *across requests*
+        # (corpus-wide common subexpressions infer once per server
+        # lifetime).
+        self.parse_cache = parse_cache
+        self.judgement_memo = judgement_memo
         #: Inference engine forwarded with every analysis submission
         #: ("auto"/"interpreted"/"compiled"); validation jobs pick their
         #: own engines per backend and ignore it.
         self.engine = engine
-        # One puller per executor worker: more would only queue inside the
-        # executor where deadlines can no longer be honoured.
-        self.workers = max(1, workers if workers is not None else self.pool.jobs)
         self.queue_size = queue_size
         # Created lazily inside the running loop: asyncio queues bind their
         # event loop at construction on Python 3.9, and schedulers are
         # routinely built before ``asyncio.run`` starts the loop.
         self._queue: Optional["asyncio.PriorityQueue"] = None
         self._sequence = itertools.count()
-        self._tasks: List[asyncio.Task] = []
+        # One puller for the one executor thread: more would only queue
+        # inside the executor, where deadlines can no longer be honoured.
+        self._task: Optional[asyncio.Task] = None
+        self._executor: Optional[ThreadPoolExecutor] = None
         # Counter storage lives in the (possibly shared) metrics registry;
         # the dict-shaped views keep the `counters["x"] += 1` call sites
         # and the /stats block shape unchanged.
@@ -184,25 +174,25 @@ class Scheduler:
     # -- lifecycle ----------------------------------------------------------
 
     async def start(self) -> None:
-        if self._tasks:
+        if self._task is not None:
             return
         self._ensure_queue()
-        loop = asyncio.get_running_loop()
-        self._tasks = [
-            loop.create_task(self._worker(index)) for index in range(self.workers)
-        ]
+        self._executor = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-scheduler"
+        )
+        self._task = asyncio.get_running_loop().create_task(self._worker())
 
-    async def stop(self, close_pool: bool = True) -> None:
-        for task in self._tasks:
+    async def stop(self) -> None:
+        task, self._task = self._task, None
+        if task is not None:
             task.cancel()
-        for task in self._tasks:
             try:
                 await task
             except asyncio.CancelledError:
                 pass
-        self._tasks = []
-        if close_pool:
-            self.pool.close()
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     # -- admission ----------------------------------------------------------
 
@@ -248,8 +238,9 @@ class Scheduler:
             return True
         return False
 
-    async def _worker(self, index: int) -> None:
+    async def _worker(self) -> None:
         queue = self._ensure_queue()
+        loop = asyncio.get_running_loop()
         while True:
             _priority, _sequence, job = await queue.get()
             if self._shed_if_dead(job):
@@ -268,73 +259,41 @@ class Scheduler:
                     job = candidate
                 if job is None:
                     continue
+            if job.kind == "validate":
+                from ..validation.harness import validate_item
+
+                call = (
+                    validate_item, job.item, job.config, job.params,
+                    self.parse_cache, self.judgement_memo,
+                )
+            elif job.kind == "tune":
+                from ..tuning.search import tune_item
+
+                call = (tune_item, job.item, job.config, job.params, self.parse_cache)
+            else:
+                call = (
+                    analyze_item, job.item, job.config,
+                    self.parse_cache, self.judgement_memo, self.engine,
+                )
             try:
-                try:
-                    # ``PoolHandle.submit`` transparently rebuilds a
-                    # broken pool at dispatch time; result-time breakage
-                    # is handled below.  Once dispatched the job runs to
-                    # completion — client deadlines are enforced by the
-                    # waiters' own ``wait_for``, and the finished report
-                    # gets cached either way.
-                    # For validation the per-process memo capacity rides
-                    # along only for process pools (``memo_entries`` is
-                    # None otherwise), keeping the thread-pool call shape
-                    # unchanged; analysis always passes it together with
-                    # the engine selection.
-                    extra = (self.memo_entries,) if self.memo_entries else ()
-                    if job.kind == "validate":
-                        from ..validation.harness import validate_item
-
-                        future = self.pool.submit(
-                            validate_item,
-                            job.item,
-                            job.config,
-                            job.params,
-                            self.parse_cache,
-                            self.judgement_memo,
-                            *extra,
-                        )
-                    elif job.kind == "tune":
-                        from ..tuning.search import tune_item
-
-                        future = self.pool.submit(
-                            tune_item,
-                            job.item,
-                            job.config,
-                            job.params,
-                            self.parse_cache,
-                            self.judgement_memo,
-                            *extra,
-                        )
-                    else:
-                        future = self.pool.submit(
-                            analyze_item,
-                            job.item,
-                            job.config,
-                            self.parse_cache,
-                            self.judgement_memo,
-                            self.memo_entries,
-                            self.engine,
-                        )
-                    report = await asyncio.wrap_future(future)
-                except Exception as error:  # pragma: no cover - defensive
-                    self.counters["failed"] += 1
-                    logger.warning(
-                        "job %s failed: %s: %s",
-                        job.key[:16], type(error).__name__, error,
-                    )
-                    if isinstance(error, BrokenExecutor):
-                        # One crashed worker process poisons the whole
-                        # pool; rebuild so the next job gets a fresh one.
-                        self.pool.reset()
-                    if not job.future.done():
-                        job.future.set_exception(error)
-                    continue
-                self.counters["completed"] += 1
+                # Once dispatched the job runs to completion: client
+                # deadlines are enforced by the waiters' own ``wait_for``,
+                # and the finished report gets cached either way.
+                report = await loop.run_in_executor(self._executor, *call)
+            except Exception as error:  # pragma: no cover - defensive
+                self.counters["failed"] += 1
+                logger.warning(
+                    "job %s failed: %s: %s",
+                    job.key[:16], type(error).__name__, error,
+                )
                 if not job.future.done():
-                    job.future.set_result(report)
+                    job.future.set_exception(error)
+                continue
             finally:
                 queue.task_done()
+            self.counters["completed"] += 1
+            if not job.future.done():
+                job.future.set_result(report)
 
     # -- reporting ----------------------------------------------------------
 
@@ -342,8 +301,6 @@ class Scheduler:
         return {
             "queue_depth": self._queue.qsize() if self._queue is not None else 0,
             "queue_size": self.queue_size,
-            "workers": self.workers,
-            "pool_jobs": self.pool.jobs,
             **self.counters,
             "lanes": dict(self.lane_counters),
         }

@@ -75,7 +75,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from ..analysis.batch import BatchItem, PoolHandle
+from ..analysis.batch import BatchItem
 from ..analysis.cache import (
     AnalysisCache,
     CacheStats,
@@ -135,6 +135,18 @@ RESULT_CACHE_ENTRIES = 4096
 #: re-encoding the report.
 HOT_KEY_ENTRIES = 4096
 HOT_REPORT_ENTRIES = 1024
+
+#: Bound of the cross-request subterm-judgement memo.
+JUDGEMENT_MEMO_ENTRIES = 65_536
+
+#: Integer request parameters per op: ``(name, default, minimum)``.
+#: ``points`` must be >= 1: the stochastic budget is split across the
+#: points, so zero points would silently discard every requested sample
+#: while still reporting a verdict.
+_INTEGER_PARAMETERS = {
+    "validate": (("samples", 64, 0), ("points", 4, 1), ("seed", 0, 0)),
+    "tune": (("samples", 8, 0), ("points", 3, 1), ("seed", 0, 0), ("budget", 48, 1)),
+}
 
 
 def _consume_result(future: "asyncio.Future") -> None:
@@ -305,17 +317,10 @@ class _PipelineWriter:
 class ServiceConfig:
     """Tunables for one service instance."""
 
-    jobs: int = 1
     queue_size: int = 256
     cache_dir: Optional[str] = None  # None: memory-only (no disk tier)
     default_deadline_seconds: Optional[float] = 60.0
     inference: Optional[InferenceConfig] = None
-    #: Bound of the cross-request subterm-judgement memo (0 disables).
-    #: With ``jobs=1`` the memo is shared in-process across requests; a
-    #: process pool cannot share it, so with ``jobs>1`` each pool worker
-    #: process keeps its own memo of this capacity instead (see
-    #: :func:`repro.analysis.batch.process_judgement_memo`).
-    judgement_memo_entries: int = 65_536
     #: Most pipelined (id-tagged) requests in flight per connection.
     pipeline_window: int = DEFAULT_PIPELINE_WINDOW
     #: Inference engine forwarded with every analysis job
@@ -352,28 +357,18 @@ class AnalysisService:
         )
         # Cross-request judgement memo: subterms shared between *different*
         # programs (Horner steps, FMA patterns, a corpus's common helper
-        # functions) are inferred once per server lifetime.  The *shared*
-        # memo exists only for in-process inference (jobs=1) — a process
-        # pool cannot share the object, so at jobs>1 each pool worker
-        # process keeps its own memo of the same capacity instead (the
-        # ``memo_entries`` plumbing through the scheduler) and this
-        # attribute stays None.  Bounded, like every other long-lived
-        # table in this process.
-        self.judgement_memo: Optional[JudgementMemo] = None
-        if self.config.jobs == 1 and self.config.judgement_memo_entries > 0:
-            self.judgement_memo = JudgementMemo(self.config.judgement_memo_entries)
+        # functions) are inferred once per server lifetime.  Bounded, like
+        # every other long-lived table in this process.
+        self.judgement_memo = JudgementMemo(JUDGEMENT_MEMO_ENTRIES)
         # One registry per service instance: every counter below, the
         # scheduler's lanes and queue-wait histogram, and the result cache's
         # collector callbacks all land here, so the `{"op": "metrics"}`
         # verb and the Prometheus text see one coherent snapshot.
         self.metrics = MetricsRegistry()
-        self.pool = PoolHandle(self.config.jobs)
         self.scheduler = Scheduler(
-            pool=self.pool,
             queue_size=self.config.queue_size,
             parse_cache=self.cache,
             judgement_memo=self.judgement_memo,
-            memo_entries=self.config.judgement_memo_entries,
             engine=self.config.engine,
             metrics=self.metrics,
         )
@@ -459,7 +454,7 @@ class AnalysisService:
         await self.scheduler.start()
 
     async def stop(self) -> None:
-        await self.scheduler.stop(close_pool=True)
+        await self.scheduler.stop()
 
     # -- request normalization ----------------------------------------------
 
@@ -662,36 +657,16 @@ class AnalysisService:
         no_cache = bool(request.get("no_cache", False))
 
         params: Optional[Dict[str, Any]] = None
-        if op == "validate":
+        if op in _INTEGER_PARAMETERS:
             params = {}
-            # ``points`` must be >= 1: the stochastic budget is split
-            # across the points, so zero points would silently discard
-            # every requested sample while still reporting a verdict.
-            for field_name, default, minimum in (
-                ("samples", 64, 0),
-                ("points", 4, 1),
-                ("seed", 0, 0),
-            ):
+            for field_name, default, minimum in _INTEGER_PARAMETERS[op]:
                 value = request.get(field_name, default)
                 if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
                     return self._error(
                         f"{field_name!r} must be an integer >= {minimum}"
                     )
                 params[field_name] = value
-        elif op == "tune":
-            params = {}
-            for field_name, default, minimum in (
-                ("samples", 8, 0),
-                ("points", 3, 1),
-                ("seed", 0, 0),
-                ("budget", 48, 1),
-            ):
-                value = request.get(field_name, default)
-                if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                    return self._error(
-                        f"{field_name!r} must be an integer >= {minimum}"
-                    )
-                params[field_name] = value
+        if op == "tune":
             for field_name in ("target", "target_ratio"):
                 value = request.get(field_name)
                 if value is None:
@@ -1050,13 +1025,12 @@ class AnalysisService:
             "Memory misses served by the disk tier.",
         )
         memo = self.judgement_memo
-        if memo is not None:
-            for field_name in ("hits", "misses"):
-                self.metrics.counter_func(
-                    f"repro_judgement_memo_{field_name}_total",
-                    lambda f=field_name: getattr(memo, f),
-                    "Cross-request subterm judgement memo counters.",
-                )
+        for field_name in ("hits", "misses"):
+            self.metrics.counter_func(
+                f"repro_judgement_memo_{field_name}_total",
+                lambda f=field_name: getattr(memo, f),
+                "Cross-request subterm judgement memo counters.",
+            )
 
     def _cache_report(self) -> Dict[str, Any]:
         """The ``cache`` block of ``/stats``: memory-tier counters, the disk
@@ -1070,8 +1044,7 @@ class AnalysisService:
         if self.cache.directory is not None:
             disk_entries, disk_bytes = self.cache.disk_usage()
             report["disk"] = {**disk.to_dict(), "entries": disk_entries, "bytes": disk_bytes}
-        if self.judgement_memo is not None:
-            report["judgement_memo"] = self.judgement_memo.stats()
+        report["judgement_memo"] = self.judgement_memo.stats()
         return report
 
     def stats(self) -> Dict[str, Any]:

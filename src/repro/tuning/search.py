@@ -965,18 +965,14 @@ def tune_item(
     config: Optional[InferenceConfig] = None,
     options: Optional[Dict[str, Any]] = None,
     cache: Optional[AnalysisCache] = None,
-    memo: Any = None,
-    memo_entries: Optional[int] = None,
 ) -> ItemTuning:
     """Tune one source item; errors become failed results.
 
     The service scheduler submits this to its executor exactly like
-    ``validate_item`` (inline fan-out, no nested pools).  ``memo`` and
-    ``memo_entries`` are accepted for dispatch parity but unused: per-site
-    grades are positional, so sited inference cannot share a judgement
-    memo (see :attr:`InferenceConfig.rnd_site_grades`).
+    ``validate_item`` (inline fan-out, no nested pools), but without a
+    judgement memo: per-site grades are positional, so sited inference
+    cannot share one (see :attr:`InferenceConfig.rnd_site_grades`).
     """
-    del memo, memo_entries
     start = time.perf_counter()
     parsed_options = TuningOptions.from_dict(options)
     try:

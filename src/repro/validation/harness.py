@@ -857,22 +857,14 @@ def validate_item(
     options: Optional[Dict[str, Any]] = None,
     cache: Optional[AnalysisCache] = None,
     memo: Any = None,
-    memo_entries: Optional[int] = None,
 ) -> ItemValidation:
     """Validate one source item; errors become failed results.
 
     The service scheduler submits this to its executor (mirroring
     ``analyze_item``): inline sampling, no nested pools.  ``memo`` (a
     :class:`~repro.core.inference.JudgementMemo`, in-process only) lets the
-    inference backend reuse subterm judgements across requests; with no
-    memo but ``memo_entries`` set, the executing process uses its own
-    :func:`repro.analysis.batch.process_judgement_memo` (the process-pool
-    path).
+    inference backend reuse subterm judgements across requests.
     """
-    if memo is None and memo_entries:
-        from ..analysis.batch import process_judgement_memo
-
-        memo = process_judgement_memo(memo_entries)
     start = time.perf_counter()
     parsed_options = ValidationOptions.from_dict(options)
     try:

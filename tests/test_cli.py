@@ -185,8 +185,11 @@ class TestVersionAndWiring:
     def test_serve_and_query_parse(self):
         from repro.cli import build_parser
 
-        serve = build_parser().parse_args(["serve", "--port", "0", "--jobs", "2"])
-        assert serve.command == "serve" and serve.jobs == 2
+        serve = build_parser().parse_args(["serve", "--port", "0", "--workers", "2"])
+        assert serve.command == "serve" and serve.workers == 2
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--jobs", "2"])
+        assert excinfo.value.code == 2
         query = build_parser().parse_args(["query", "p.lnum", "--priority", "bulk"])
         assert query.command == "query" and query.priority == "bulk"
 
@@ -216,3 +219,67 @@ class TestValidateCommand:
         path = tmp_path / "expr.lnum"
         path.write_text("s = mul (x, x); rnd s\n")
         assert main(["validate", str(path), "-i", "x=0.7"]) == 0
+
+
+def _doc_sections():
+    """``docs/cli.md`` split into its ``## `repro <cmd>``` sections, plus the
+    text under "Shared flags"."""
+    import re
+
+    path = os.path.join(os.path.dirname(os.path.dirname(EXAMPLES)), "docs", "cli.md")
+    text = open(path, encoding="utf-8").read()
+    sections = {}
+    shared = ""
+    for chunk in re.split(r"^## ", text, flags=re.MULTILINE)[1:]:
+        title, _newline, body = chunk.partition("\n")
+        command = re.match(r"`repro (\w+)", title)
+        if command:
+            sections[command.group(1)] = body
+        elif title.strip() == "Shared flags":
+            shared = body
+    return sections, shared
+
+
+def _long_options(text):
+    import re
+
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+
+
+class TestDocsMatchTheParser:
+    """Every subcommand section of docs/cli.md names exactly the flags its
+    subparser accepts (shared flags may be documented once, up top)."""
+
+    def _subparsers(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                return action.choices
+        raise AssertionError("no subcommands")
+
+    def test_every_subcommand_has_a_section(self):
+        sections, _shared = _doc_sections()
+        assert set(sections) == set(self._subparsers())
+
+    @pytest.mark.parametrize(
+        "command",
+        ["check", "fpcore", "batch", "table", "perf", "serve", "query", "validate", "tune"],
+    )
+    def test_section_flags_match_the_subparser(self, command):
+        sections, shared = _doc_sections()
+        subparser = self._subparsers()[command]
+        accepted = {
+            option
+            for action in subparser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        named = _long_options(sections[command])
+        undocumented = accepted - named - _long_options(shared)
+        assert not undocumented, f"undocumented flags: {sorted(undocumented)}"
+        unknown = named - accepted
+        assert not unknown, f"documented flags the parser rejects: {sorted(unknown)}"

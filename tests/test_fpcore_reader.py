@@ -1,11 +1,13 @@
 """The FPCore reader and converter hold no Python frame per nesting level.
 
-``_read_sexpr`` keeps open lists on an explicit stack and ``_convert``
-drives one suspended generator per open compound form, so input nested
-far past the recursion limit parses.  These tests hold both to the
-recursive definitions they replaced, kept here as references: the same
-s-expressions, the same ``RealExpr`` (sharing of ``let``-bound values
-included), and the same exception type and message on malformed input.
+``_read_sexpr`` keeps open lists on an explicit stack, ``_convert``
+drives one suspended generator per open compound form, and
+``_ranges_from_precondition`` walks ``:pre`` with an explicit stack, so
+input nested far past the recursion limit parses.  These tests hold all
+three to the recursive definitions they replaced, kept here as
+references: the same s-expressions, the same ``RealExpr`` (sharing of
+``let``-bound values included), the same exception type and message on
+malformed input, and the same precondition ranges.
 """
 
 import random
@@ -21,6 +23,7 @@ from repro.frontend.fpcore import (
     _COMPARISONS,
     _atom,
     _convert,
+    _ranges_from_precondition,
     _tokenize_sexpr,
     parse_fpcore,
     parse_sexpr,
@@ -110,6 +113,35 @@ def _reference_convert_guard(form, bindings):
     )
 
 
+def _reference_ranges(precondition, arguments):
+    ranges = {name: [None, None] for name in arguments}
+
+    def visit(form):
+        if not isinstance(form, list) or not form:
+            return
+        head = form[0]
+        if head == "and":
+            for sub in form[1:]:
+                visit(sub)
+            return
+        if head in ("<=", "<") and len(form) == 3:
+            low, high = form[1], form[2]
+            if isinstance(low, Fraction) and isinstance(high, str) and high in ranges:
+                ranges[high][0] = low
+            if isinstance(low, str) and low in ranges and isinstance(high, Fraction):
+                ranges[low][1] = high
+            return
+        if head in (">=", ">") and len(form) == 3:
+            visit(["<=" if head == ">=" else "<", form[2], form[1]])
+
+    visit(precondition)
+    return {
+        name: (low, high)
+        for name, (low, high) in ranges.items()
+        if low is not None and high is not None
+    }
+
+
 # ---------------------------------------------------------------------------
 # Seeded random FPCore bodies
 # ---------------------------------------------------------------------------
@@ -152,6 +184,31 @@ def _random_body(rng, depth, budget=None):
     for _ in range(rng.randint(1, 6)):
         body = f"(+ {body} {rng.choice(NAMES)})"
     return body
+
+
+def _random_precondition(rng, depth):
+    """Nested ``and``s over range constraints on ``x``, ``y`` and the
+    unknown ``z``: both orientations, repeated bounds and forms the
+    extractor must skip."""
+    roll = rng.random()
+    if depth > 0 and roll < 0.5:
+        count = rng.randint(0, 4)
+        return ["and"] + [_random_precondition(rng, depth - 1) for _ in range(count)]
+    if roll < 0.58:
+        return rng.choice(
+            [
+                [],
+                "x",
+                Fraction(1),
+                ["or", ["<=", "x", Fraction(1)]],
+                ["<=", Fraction(0), "x", Fraction(1)],
+                ["<=", "x", "y"],
+            ]
+        )
+    constant = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    name = rng.choice(["x", "y", "z"])
+    operands = [constant, name] if rng.random() < 0.5 else [name, constant]
+    return [rng.choice(["<=", "<", ">=", ">"])] + operands
 
 
 def _corrupt(rng, text):
@@ -234,6 +291,23 @@ class TestRecursiveEquivalence:
         rng = random.Random(5000 + seed)
         _assert_matches_the_references(_corrupt(rng, _random_body(rng, rng.randint(1, 8))))
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_precondition_ranges_match_the_reference(self, seed):
+        rng = random.Random(9000 + seed)
+        form = ["and"] + [
+            _random_precondition(rng, rng.randint(0, 5)) for _ in range(rng.randint(1, 8))
+        ]
+        arguments = ["x", "y"]
+        assert _ranges_from_precondition(form, arguments) == _reference_ranges(
+            form, arguments
+        )
+
+    def test_a_later_bound_wins(self):
+        form = parse_sexpr("(and (<= 1 x) (and (<= x 2) (>= x 1/2)) (< y 3) (> y -3))")
+        expected = {"x": (Fraction(1, 2), Fraction(2)), "y": (Fraction(-3), Fraction(3))}
+        assert _ranges_from_precondition(form, ["x", "y"]) == expected
+        assert _reference_ranges(form, ["x", "y"]) == expected
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -294,4 +368,30 @@ class TestDeepInput:
         assert main(["batch", str(tmp_path), "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "deep: M[30000*eps]num" in out
+        assert "1 program(s), 1 function(s), 0 failure(s)" in out
+
+
+def _deep_precondition(depth):
+    """``(and (and … (<= 1 x) …) (<= x 2))`` nested ``depth`` deep."""
+    pre = "(and " * (depth - 1) + "(<= 1 x)" + ")" * (depth - 2) + " (<= x 2))"
+    return f'(FPCore (x) :name "deep" :pre {pre} (+ x 1))'
+
+
+class TestDeepPrecondition:
+    def test_ranges_past_the_recursion_limit(self):
+        core = parse_fpcore(_deep_precondition(30_000))
+        assert core.input_ranges == {"x": (Fraction(1), Fraction(2))}
+
+    def test_through_fpcore(self, tmp_path, capsys):
+        path = tmp_path / "deep.fpcore"
+        path.write_text(_deep_precondition(30_000))
+        assert main(["fpcore", str(path)]) == 0
+        assert "deep: M[eps]num" in capsys.readouterr().out
+
+    def test_through_batch(self, tmp_path, capsys):
+        path = tmp_path / "deep.fpcore"
+        path.write_text(_deep_precondition(30_000))
+        assert main(["batch", str(tmp_path), "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "deep: M[eps]num" in out
         assert "1 program(s), 1 function(s), 0 failure(s)" in out

@@ -53,7 +53,7 @@ def run(coroutine):
 
 
 async def make_service(**overrides):
-    config = ServiceConfig(**{"jobs": 1, **overrides})
+    config = ServiceConfig(**overrides)
     service = AnalysisService(config)
     await service.start()
     return service
@@ -546,7 +546,7 @@ class TestServiceTracing:
 
 @pytest.fixture(scope="module")
 def server():
-    with _ServerHarness(ServiceConfig(jobs=1)) as harness:
+    with _ServerHarness(ServiceConfig()) as harness:
         yield harness
 
 

@@ -20,7 +20,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.batch import BatchItem, PoolHandle
+from repro.analysis.batch import BatchItem
 from repro.analysis.cache import (
     QUARANTINE_MAX_FILES,
     AnalysisCache,
@@ -283,7 +283,7 @@ class TestDeadlines:
         import asyncio
 
         async def scenario():
-            scheduler = Scheduler(pool=PoolHandle(1), queue_size=8)
+            scheduler = Scheduler(queue_size=8)
             job = Job(
                 key="expired",
                 item=BatchItem(name="expired", kind="lnum", source=FMA_SOURCE),

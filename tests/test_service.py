@@ -16,6 +16,7 @@ import pytest
 
 from repro.analysis.batch import BatchItem, PoolHandle
 from repro.analysis.cache import AnalysisCache
+from repro.core.inference import JudgementMemo
 from repro.service import (
     AnalysisServer,
     AnalysisService,
@@ -50,7 +51,7 @@ def run(coroutine):
 
 
 async def make_service(**overrides):
-    config = ServiceConfig(**{"jobs": 1, **overrides})
+    config = ServiceConfig(**overrides)
     service = AnalysisService(config)
     await service.start()
     return service
@@ -222,7 +223,7 @@ def _job(key, priority=PRIORITY_INTERACTIVE, deadline=None, source=FMA_SOURCE):
 class TestScheduler:
     def test_full_queue_sheds(self):
         async def scenario():
-            scheduler = Scheduler(pool=PoolHandle(1), queue_size=2)
+            scheduler = Scheduler(queue_size=2)
             # Workers never started: the queue only fills.
             scheduler.submit(_job("a"))
             scheduler.submit(_job("b"))
@@ -235,7 +236,7 @@ class TestScheduler:
 
     def test_priority_lane_ordering(self):
         async def scenario():
-            scheduler = Scheduler(pool=PoolHandle(1), queue_size=8)
+            scheduler = Scheduler(queue_size=8)
             scheduler.submit(_job("bulk1", priority=PRIORITY_BULK))
             scheduler.submit(_job("fast", priority=PRIORITY_INTERACTIVE))
             scheduler.submit(_job("bulk2", priority=PRIORITY_BULK))
@@ -251,7 +252,7 @@ class TestScheduler:
 
     def test_expired_deadline_never_runs(self):
         async def scenario():
-            scheduler = Scheduler(pool=PoolHandle(1), queue_size=8)
+            scheduler = Scheduler(queue_size=8)
             await scheduler.start()
             import time
 
@@ -273,12 +274,12 @@ class TestScheduler:
         # and the worker keeps serving afterwards.
         import time as time_module
 
-        def slow_then_fast(item, config, cache, memo=None, memo_entries=None, engine="auto"):
+        def slow_then_fast(item, config, cache, memo=None, engine="auto"):
             if item.name == "slow":
                 time_module.sleep(0.3)
             from repro.analysis.batch import _analyze_item
 
-            return _analyze_item(item, config, cache, memo, memo_entries, engine)
+            return _analyze_item(item, config, cache, memo, engine)
 
         monkeypatch.setattr(
             "repro.service.scheduler.analyze_item", slow_then_fast
@@ -287,7 +288,7 @@ class TestScheduler:
         async def scenario():
             import time
 
-            scheduler = Scheduler(pool=PoolHandle(1), queue_size=8)
+            scheduler = Scheduler(queue_size=8)
             await scheduler.start()
             slow = await asyncio.wait_for(
                 scheduler.submit(_job("slow", deadline=time.monotonic() + 0.05)),
@@ -304,7 +305,7 @@ class TestScheduler:
 
     def test_jobs_run_and_complete(self):
         async def scenario():
-            scheduler = Scheduler(pool=PoolHandle(1), queue_size=8)
+            scheduler = Scheduler(queue_size=8)
             await scheduler.start()
             report = await scheduler.submit(_job("ok"))
             assert report.ok and report.analyses[0].name == "FMA"
@@ -471,13 +472,13 @@ class TestAnalysisService:
 
         run(scenario())
 
-    def test_process_pool_service_disables_the_shared_memo(self):
-        # jobs>1 runs inference in worker processes: the in-memory memo
-        # cannot travel, so the service must not pretend it exists.
-        service = AnalysisService(ServiceConfig(jobs=2))
-        assert service.judgement_memo is None
-        assert service.scheduler.judgement_memo is None
-        assert "judgement_memo" not in service.stats()["cache"]
+    def test_service_shares_its_memos_with_the_scheduler(self):
+        # Inference always runs in-process: the scheduler's worker gets
+        # the service's own judgement memo and parse cache, not copies.
+        service = AnalysisService()
+        assert isinstance(service.judgement_memo, JudgementMemo)
+        assert service.scheduler.judgement_memo is service.judgement_memo
+        assert service.scheduler.parse_cache is service.cache
 
     def test_worker_reuses_the_admission_parse(self):
         async def scenario():
@@ -558,7 +559,7 @@ class TestAnalysisService:
     def test_expired_deadline_returns_timeout(self):
         async def scenario():
             # Workers not started: the tiny deadline passes while queued.
-            service = AnalysisService(ServiceConfig(jobs=1))
+            service = AnalysisService(ServiceConfig())
             response = await service.handle(
                 {"op": "analyze", "source": FMA_SOURCE, "deadline_ms": 20}
             )
@@ -586,7 +587,7 @@ class TestAnalysisService:
             # Workers never started, so the owner's job sits in the queue
             # forever; a coalescing waiter with a tight deadline must still
             # get its 504 instead of inheriting the owner's budget.
-            service = AnalysisService(ServiceConfig(jobs=1))
+            service = AnalysisService(ServiceConfig())
             owner = asyncio.ensure_future(
                 service.handle({"op": "analyze", "source": FMA_SOURCE})
             )
@@ -671,9 +672,9 @@ class TestAnalysisService:
 
         from repro.analysis.batch import _analyze_item
 
-        def slow(item, config, cache, memo=None, memo_entries=None, engine="auto"):
+        def slow(item, config, cache, memo=None, engine="auto"):
             time_module.sleep(0.25)
-            return _analyze_item(item, config, cache, memo, memo_entries, engine)
+            return _analyze_item(item, config, cache, memo, engine)
 
         monkeypatch.setattr("repro.service.scheduler.analyze_item", slow)
 
@@ -702,7 +703,7 @@ class TestAnalysisService:
             # owner's 50 ms budget.  The coalescing waiter brings a much
             # longer budget, so once workers start, the job must still run
             # (instead of being dropped at the owner's deadline).
-            service = AnalysisService(ServiceConfig(jobs=1))
+            service = AnalysisService(ServiceConfig())
             owner = asyncio.ensure_future(
                 service.handle(
                     {"op": "analyze", "source": FMA_SOURCE, "deadline_ms": 50}
@@ -729,7 +730,7 @@ class TestAnalysisService:
         async def scenario():
             # Workers never started: the job sits queued forever, but the
             # submitting client must still get its 504 at the deadline.
-            service = AnalysisService(ServiceConfig(jobs=1))
+            service = AnalysisService(ServiceConfig())
             response = await asyncio.wait_for(
                 service.handle(
                     {"op": "analyze", "source": FMA_SOURCE, "deadline_ms": 50}
@@ -746,7 +747,7 @@ class TestAnalysisService:
         async def scenario():
             # Workers intentionally not started: the first request parks in
             # the queue, the second distinct one must be shed.
-            service = AnalysisService(ServiceConfig(jobs=1, queue_size=1))
+            service = AnalysisService(ServiceConfig(queue_size=1))
             first = asyncio.ensure_future(
                 service.handle({"op": "analyze", "source": FMA_SOURCE})
             )
@@ -839,7 +840,7 @@ def live_server():
     # The same server-in-a-daemon-thread harness the load generator uses.
     from repro.perf.service_bench import _ServerHarness
 
-    with _ServerHarness(ServiceConfig(jobs=1)) as harness:
+    with _ServerHarness(ServiceConfig()) as harness:
         yield harness.port
 
 
@@ -912,7 +913,7 @@ class TestServerRoundTrip:
 
         from repro.perf.service_bench import _ServerHarness
 
-        with _ServerHarness(ServiceConfig(jobs=1)) as harness:
+        with _ServerHarness(ServiceConfig()) as harness:
             idle = socket.create_connection(("127.0.0.1", harness.port), timeout=10)
             try:
                 ServiceClient(port=harness.port, timeout=10).shutdown()

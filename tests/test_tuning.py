@@ -457,7 +457,7 @@ def live_server():
     from repro.perf.service_bench import _ServerHarness
     from repro.service import ServiceConfig
 
-    with _ServerHarness(ServiceConfig(jobs=1)) as harness:
+    with _ServerHarness(ServiceConfig()) as harness:
         yield harness.port
 
 
