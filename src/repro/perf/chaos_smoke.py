@@ -43,7 +43,7 @@ import sys
 import tempfile
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..service import PipelinedClient, RetryPolicy, ServiceClient, ServiceConfig
+from ..service import RetryPolicy, ServiceClient, ServiceConfig
 from .service_bench import _RouterHarness, bench_sources
 
 __all__ = [
@@ -124,7 +124,7 @@ def run_chaos_load(
 
     reports: List[Optional[Any]] = [None] * requests
     failures: List[str] = []
-    with PipelinedClient(port=port, retry=retry) as client:
+    with ServiceClient(port=port, retry=retry) as client:
         for wave_start in range(0, requests, WAVE):
             wave = range(wave_start, min(wave_start + WAVE, requests))
             ids: List[Tuple[int, int]] = []

@@ -9,8 +9,9 @@ request lifecycle is::
 
 * :mod:`repro.service.server` — the :class:`AnalysisService` core
   (request normalization, in-flight coalescing, response shaping) and the
-  :class:`AnalysisServer` TCP front-end, including the pipelined
-  (id-correlated) request mode;
+  :class:`AnalysisServer` TCP front-end, which handles every request on
+  a connection concurrently (id-tagged replies as they finish, id-less
+  ones in request order);
 * :mod:`repro.service.scheduler` — the bounded priority queue feeding the
   reusable :class:`repro.analysis.batch.PoolHandle`, with deadlines and
   load shedding;
@@ -18,8 +19,9 @@ request lifecycle is::
   consistent-hash ring behind ``repro serve --workers N``;
 * :mod:`repro.service.router` — the front-end that shards requests over
   the fleet by content key, with supervision and hot restarts;
-* :mod:`repro.service.client` — the blocking client library behind
-  ``repro query``, including the pipelined multiplexing client;
+* :mod:`repro.service.client` — the blocking client behind ``repro
+  query``: one class that issues one request at a time or keeps many in
+  flight on a connection, with one retry path;
 * :mod:`repro.service.resilience` — retry/backoff policies, per-slot
   circuit breakers and deadline propagation (see ``docs/robustness.md``
   and :mod:`repro.faults` for the deterministic chaos layer).
@@ -30,7 +32,7 @@ See the "Service layer" and "Cluster layer" sections of
 ``BENCH_service.json``.
 """
 
-from .client import DEFAULT_PORT, PipelinedClient, ServiceClient, ServiceError
+from .client import DEFAULT_PORT, ServiceClient, ServiceError
 from .cluster import AnalysisCluster, ClusterConfig, HashRing, WorkerHandle
 from .resilience import CircuitBreaker, RetryPolicy
 from .router import RouterServer
@@ -54,7 +56,6 @@ __all__ = [
     "HashRing",
     "PRIORITY_BULK",
     "PRIORITY_INTERACTIVE",
-    "PipelinedClient",
     "RetryPolicy",
     "RouterServer",
     "Scheduler",

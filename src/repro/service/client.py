@@ -12,13 +12,11 @@ verb alike::
         print(response["report"]["functions"][0]["relative_error_bound"])
         print(client.stats()["service"]["coalesced"])
 
-One :class:`ServiceClient` holds one connection and issues requests
-sequentially on it; concurrency comes from using one client per thread
-(see ``repro.perf.service_bench`` for the closed-loop load generator
-built that way).  :class:`PipelinedClient` multiplexes instead: it tags
-every request with a correlation ``id``, keeps many in flight on one
-connection, and matches the (possibly out-of-order) responses back up —
-the high-throughput mode the cluster router uses internally.
+One :class:`ServiceClient` holds one connection.  It tags every request
+with a correlation ``id``, so besides one-at-a-time calls it can keep
+many requests in flight (``submit`` / ``drain`` / ``collect``) and match
+the possibly out-of-order responses back up; retries of retryable
+failures resubmit under the same id.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import json
 import logging
 import socket
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.metrics import global_registry
 from .resilience import RetryPolicy, retryable_response
@@ -37,7 +35,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "DEFAULT_HOST",
     "DEFAULT_PORT",
-    "PipelinedClient",
     "RetryPolicy",
     "ServiceClient",
     "ServiceError",
@@ -64,7 +61,22 @@ class ServiceError(Exception):
 
 
 class ServiceClient:
-    """A blocking newline-delimited-JSON client for one server."""
+    """A blocking client that multiplexes requests on one connection.
+
+    Every request is tagged with an integer correlation id.  ``submit``
+    writes one without waiting; ``drain`` / ``collect`` read responses
+    and match them by id, in whatever order the server finishes them, so
+    one client can keep many requests in flight and saturate a server
+    about as well as dozens of one-at-a-time clients::
+
+        with ServiceClient(port=7351) as client:
+            ids = [client.submit({"op": "analyze", "source": src})
+                   for src in sources]
+            responses = client.collect(ids)
+
+    :meth:`request` (and the ``analyze`` / ``stats`` / ... helpers on top
+    of it) is one ``submit`` + ``drain``.
+    """
 
     def __init__(
         self,
@@ -83,6 +95,13 @@ class ServiceClient:
         self._socket: Optional[socket.socket] = None
         self._reader = None
         self._writer = None
+        self._next_id = 0
+        #: Responses read while draining some other id.
+        self._responses: Dict[int, Dict[str, Any]] = {}
+        #: Retry state: every request still in flight (payload and first
+        #: submit time) and the per-request attempt counters.
+        self._inflight: Dict[int, Tuple[Dict[str, Any], float]] = {}
+        self._attempts: Dict[int, int] = {}
 
     # -- connection management ----------------------------------------------
 
@@ -137,28 +156,205 @@ class ServiceClient:
 
     # -- the protocol --------------------------------------------------------
 
-    def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Send one request object, return the decoded response object."""
-        self.connect()
+    def submit(self, payload: Dict[str, Any]) -> int:
+        """Send one request without waiting; returns its correlation id.
+
+        The request is framed canonically (``id`` first), which lets the
+        server and router take their byte-splicing fast paths.  Writes are
+        buffered until :meth:`flush` or the next :meth:`drain`.
+        """
+        request_id = self._next_id
+        self._next_id += 1
+        if self.retry is not None:
+            self._inflight[request_id] = (payload, time.monotonic())
         try:
-            self._writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-            self._writer.flush()
-            line = self._reader.readline()
+            self.connect()
+            self._write(request_id, payload)
+        except ServiceError:
+            if self.retry is None:
+                raise
+            # The connection is gone: the first drain pass resubmits it.
+        return request_id
+
+    def _write(self, request_id: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload, separators=(",", ":"))
+        if body == "{}":
+            line = '{"id":%d}\n' % request_id
+        else:
+            line = '{"id":%d,' % request_id + body[1:] + "\n"
+        try:
+            self._writer.write(line.encode("utf-8"))
         except OSError as error:
             self.close()
             raise ServiceError(f"connection to {self.host}:{self.port} failed: {error}") from error
-        if not line:
-            self.close()
-            raise ServiceError("server closed the connection")
-        try:
-            return json.loads(line)
-        except json.JSONDecodeError as error:
-            # A truncated/garbled frame desynchronizes the whole stream:
-            # drop the connection so a retry starts from a clean one.
-            self.close()
-            raise ServiceError(f"malformed response: {error}") from error
 
-    def _checked_once(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+    def flush(self) -> None:
+        try:
+            self._writer.flush()
+        except OSError as error:
+            self.close()
+            raise ServiceError(f"connection to {self.host}:{self.port} failed: {error}") from error
+
+    def drain(self, request_id: int) -> Dict[str, Any]:
+        """The response for ``request_id``, reading lines until it arrives.
+
+        With a retry policy set, retryable failures — a worker-death 503
+        from the router, or the whole connection dropping mid-stream — are
+        retried transparently under the *same* correlation id (after a
+        reconnect-and-resubmit-all for transport failures), with the
+        policy's backoff between attempts.  Retries are safe for analysis
+        traffic: requests are content-addressed and idempotent, so a retry
+        coalesces or hits the cache.  A ``deadline_ms`` budget is reduced
+        by the time spent since the first submit before every resubmit,
+        so retrying never extends the caller's end-to-end deadline; once
+        it is spent, the last failure stands.
+        """
+        while True:
+            response = self._drain_once(request_id)
+            if response is None:
+                # Transport failure with retries left: the connection was
+                # re-established and every in-flight request resubmitted.
+                continue
+            if (
+                self.retry is not None
+                and response.get("status") != "ok"
+                and retryable_response(response)
+                and self._retry_one(request_id)
+            ):
+                continue
+            self._inflight.pop(request_id, None)
+            self._attempts.pop(request_id, None)
+            return response
+
+    def collect(self, request_ids: List[int]) -> List[Dict[str, Any]]:
+        """Responses for ``request_ids``, in the order *asked for*."""
+        return [self.drain(request_id) for request_id in request_ids]
+
+    def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """Send one request object, return the decoded response object."""
+        response = self.drain(self.submit(payload))
+        response.pop("id", None)
+        return response
+
+    def _drain_once(self, request_id: int) -> Optional[Dict[str, Any]]:
+        """One read pass; ``None`` means a transport failure was retried."""
+        try:
+            if self._socket is None and request_id not in self._responses:
+                if self.retry is None:
+                    raise ServiceError(f"not connected to {self.host}:{self.port}")
+                # A failed submit or a dropped connection: reconnect and
+                # resubmit everything in flight.
+                self._resubmit_all()
+            response = self._responses.pop(request_id, None)
+            if response is not None:
+                return response
+            self.flush()
+            while True:
+                try:
+                    line = self._reader.readline()
+                except OSError as error:
+                    self.close()
+                    raise ServiceError(
+                        f"connection to {self.host}:{self.port} failed: {error}"
+                    ) from error
+                if not line:
+                    self.close()
+                    raise ServiceError("server closed the connection")
+                try:
+                    response = json.loads(line)
+                except json.JSONDecodeError as error:
+                    # A truncated/garbled frame desynchronizes the whole
+                    # stream: drop the connection so a retry starts clean.
+                    self.close()
+                    raise ServiceError(f"malformed response: {error}") from error
+                got = response.get("id")
+                if got == request_id:
+                    return response
+                if got is not None:
+                    self._responses[got] = response
+        except ServiceError:
+            if self.retry is None or not self._retry_all(request_id):
+                raise
+            return None
+
+    def _retry_one(self, request_id: int) -> bool:
+        """Back off and resubmit one request; ``False`` when out of retries."""
+        delay = self._next_delay(request_id)
+        if delay is None:
+            return False
+        payload = self._budgeted(request_id, delay)
+        if payload is None:
+            return False
+        time.sleep(delay)
+        try:
+            self.connect()
+            self._write(request_id, payload)
+        except ServiceError:
+            pass  # the connection is gone: the next drain pass resubmits
+        return True
+
+    def _retry_all(self, request_id: int) -> bool:
+        """Back off after a dropped connection; the next drain pass
+        reconnects and resubmits every in-flight request."""
+        delay = self._next_delay(request_id)
+        if delay is None or self._budgeted(request_id, delay) is None:
+            return False
+        time.sleep(delay)
+        self.close()  # always resubmit on a fresh connection
+        return True
+
+    def _resubmit_all(self) -> None:
+        self.connect()
+        for request_id in list(self._inflight):
+            if request_id in self._responses:
+                continue  # answered before the connection dropped
+            payload = self._budgeted(request_id, 0.0)
+            if payload is None:
+                del self._inflight[request_id]
+                self._responses[request_id] = {
+                    "id": request_id,
+                    "status": "error",
+                    "code": 504,
+                    "error": "deadline_ms budget spent before a retry",
+                }
+                continue
+            self._write(request_id, payload)
+
+    def _budgeted(self, request_id: int, delay: float) -> Optional[Dict[str, Any]]:
+        """The request to resubmit after ``delay`` more seconds, with its
+        ``deadline_ms`` reduced by the time burned since the first submit;
+        ``None`` once that budget is spent (or the request is unknown)."""
+        entry = self._inflight.get(request_id)
+        if entry is None:
+            return None
+        payload, submitted = entry
+        budget = payload.get("deadline_ms")
+        if not isinstance(budget, (int, float)) or isinstance(budget, bool) or budget <= 0:
+            return payload
+        remaining = budget - (time.monotonic() - submitted + delay) * 1000.0
+        if remaining <= 0:
+            return None
+        return {**payload, "deadline_ms": remaining}
+
+    def _next_delay(self, request_id: int) -> Optional[float]:
+        """The backoff before this request's next attempt, or ``None``."""
+        schedule = self.retry.schedule() if self.retry is not None else []
+        attempt = self._attempts.get(request_id, 0)
+        if attempt >= len(schedule):
+            global_registry().counter(
+                "repro_client_retries_exhausted_total",
+                "Requests that failed after exhausting their retries.",
+            ).inc()
+            return None
+        self._attempts[request_id] = attempt + 1
+        global_registry().counter(
+            "repro_client_retries_total",
+            "Retry attempts after retryable failures.",
+        ).inc()
+        return schedule[attempt]
+
+    def _checked(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """:meth:`request`, raising :class:`ServiceError` on a non-ok reply."""
         response = self.request(payload)
         status = response.get("status")
         if status != "ok":
@@ -168,53 +364,6 @@ class ServiceClient:
                 response=response,
             )
         return response
-
-    def _checked(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """One request with the retry policy applied to retryable failures.
-
-        Retries cover transport errors (connection refused/reset/EOF) and
-        responses the server marks ``retryable`` — the 503 contract the
-        cluster router mints on worker death and open circuit breakers.
-        A ``deadline_ms`` budget in the payload is decremented by the
-        time already burned before each retry, so retrying never extends
-        the end-to-end deadline the caller asked for.
-        """
-        schedule = self.retry.schedule() if self.retry is not None else []
-        if not schedule:
-            return self._checked_once(payload)
-        started = time.monotonic()
-        deadline_ms = payload.get("deadline_ms")
-        has_budget = isinstance(deadline_ms, (int, float)) and deadline_ms > 0
-        attempt = 0
-        while True:
-            try:
-                return self._checked_once(payload)
-            except ServiceError as error:
-                if attempt >= len(schedule) or not retryable_response(error.response):
-                    if attempt > 0:
-                        global_registry().counter(
-                            "repro_client_retries_exhausted_total",
-                            "Requests that failed after exhausting their retries.",
-                        ).inc()
-                    raise
-                delay = schedule[attempt]
-                if has_budget:
-                    burned = (time.monotonic() - started + delay) * 1000.0
-                    if burned >= deadline_ms:
-                        raise  # out of deadline budget: surface the failure
-                    payload = {**payload, "deadline_ms": deadline_ms - burned}
-                attempt += 1
-                global_registry().counter(
-                    "repro_client_retries_total",
-                    "Retry attempts after retryable failures.",
-                ).inc()
-                logger.debug(
-                    "retrying after %s (attempt %d/%d, %.0f ms backoff)",
-                    error, attempt, len(schedule), delay * 1000.0,
-                )
-                time.sleep(delay)
-                # Transport failures already closed the socket; connect()
-                # in request() re-establishes it for the next attempt.
 
     # -- operations ----------------------------------------------------------
 
@@ -374,180 +523,6 @@ class ServiceClient:
         if trace:
             payload["trace"] = trace
         return self._checked(payload)
-
-
-class PipelinedClient(ServiceClient):
-    """A blocking client that multiplexes many requests on one connection.
-
-    Requests are tagged with integer correlation ids and written eagerly
-    (``submit`` never reads); responses are collected with ``drain`` /
-    ``collect`` and matched by id, in whatever order the server finishes
-    them.  One pipelined client saturates a server about as well as
-    dozens of sequential clients, at a fraction of the socket and thread
-    cost::
-
-        with PipelinedClient(port=7351) as client:
-            ids = [client.submit({"op": "analyze", "source": src})
-                   for src in sources]
-            responses = client.collect(ids)
-    """
-
-    def __init__(
-        self,
-        host: str = DEFAULT_HOST,
-        port: int = DEFAULT_PORT,
-        timeout: Optional[float] = 120.0,
-        retry: Optional[RetryPolicy] = None,
-    ) -> None:
-        super().__init__(host, port, timeout, retry)
-        self._next_id = 0
-        self._responses: Dict[int, Dict[str, Any]] = {}
-        # Retry state: the encoded frame of every request still in flight
-        # (resubmitted verbatim — same id — after a retryable failure or a
-        # dropped connection) and the per-request attempt counters.
-        self._frames: Dict[int, bytes] = {}
-        self._attempts: Dict[int, int] = {}
-
-    def submit(self, payload: Dict[str, Any]) -> int:
-        """Send one request without waiting; returns its correlation id.
-
-        The request is framed canonically (``id`` first), which lets the
-        server and router take their byte-splicing fast paths.
-        """
-        self.connect()
-        request_id = self._next_id
-        self._next_id += 1
-        body = json.dumps(payload, separators=(",", ":"))
-        if body == "{}":
-            line = '{"id":%d}\n' % request_id
-        else:
-            line = '{"id":%d,' % request_id + body[1:] + "\n"
-        frame = line.encode("utf-8")
-        if self.retry is not None:
-            self._frames[request_id] = frame
-        try:
-            self._writer.write(frame)
-        except OSError as error:
-            self.close()
-            raise ServiceError(f"connection to {self.host}:{self.port} failed: {error}") from error
-        return request_id
-
-    def flush(self) -> None:
-        try:
-            self._writer.flush()
-        except OSError as error:
-            self.close()
-            raise ServiceError(f"connection to {self.host}:{self.port} failed: {error}") from error
-
-    def drain(self, request_id: int) -> Dict[str, Any]:
-        """The response for ``request_id``, reading lines until it arrives.
-
-        With a retry policy set, retryable failures — a worker-death 503
-        from the router, or the whole connection dropping mid-stream —
-        are retried transparently: the stored frame is resubmitted under
-        the *same* correlation id (after a reconnect-and-resubmit-all for
-        transport failures), with the policy's backoff between attempts.
-        """
-        while True:
-            response = self._drain_once(request_id)
-            if response is None:
-                # Transport failure with retries left: the connection was
-                # re-established and every in-flight frame resubmitted.
-                continue
-            if (
-                self.retry is not None
-                and response.get("status") != "ok"
-                and retryable_response(response)
-                and self._retry_frame(request_id)
-            ):
-                continue
-            self._frames.pop(request_id, None)
-            self._attempts.pop(request_id, None)
-            return response
-
-    def _drain_once(self, request_id: int) -> Optional[Dict[str, Any]]:
-        """One read pass; ``None`` means a transport failure was retried."""
-        response = self._responses.pop(request_id, None)
-        if response is not None:
-            return response
-        try:
-            self.flush()
-            while True:
-                try:
-                    line = self._reader.readline()
-                except OSError as error:
-                    self.close()
-                    raise ServiceError(
-                        f"connection to {self.host}:{self.port} failed: {error}"
-                    ) from error
-                if not line:
-                    self.close()
-                    raise ServiceError("server closed the connection")
-                try:
-                    response = json.loads(line)
-                except json.JSONDecodeError as error:
-                    raise ServiceError(f"malformed response: {error}") from error
-                got = response.get("id")
-                if got == request_id:
-                    return response
-                if got is not None:
-                    self._responses[got] = response
-        except ServiceError:
-            if self.retry is None or not self._retry_transport(request_id):
-                raise
-            return None
-
-    def _retry_frame(self, request_id: int) -> bool:
-        """Back off and resubmit one frame; ``False`` when out of retries."""
-        frame = self._frames.get(request_id)
-        if frame is None or not self._backoff(request_id):
-            return False
-        try:
-            self.connect()
-            self._writer.write(frame)
-        except (OSError, ServiceError):
-            self.close()
-            # The resubmit itself failed; the transport path picks it up
-            # on the next drain pass (the frame is still stored).
-        return True
-
-    def _retry_transport(self, request_id: int) -> bool:
-        """Reconnect and resubmit *every* in-flight frame after a drop."""
-        if not self._frames or not self._backoff(request_id):
-            return False
-        self.close()  # always resubmit on a fresh connection
-        self._responses.clear()  # correlated to the dead connection
-        try:
-            self.connect()
-            for frame in self._frames.values():
-                self._writer.write(frame)
-            self.flush()
-        except (OSError, ServiceError):
-            self.close()
-            # Still down: the next drain pass backs off and tries again
-            # until this request's attempts run out.
-        return True
-
-    def _backoff(self, request_id: int) -> bool:
-        schedule = self.retry.schedule() if self.retry is not None else []
-        attempt = self._attempts.get(request_id, 0)
-        if attempt >= len(schedule):
-            global_registry().counter(
-                "repro_client_retries_exhausted_total",
-                "Requests that failed after exhausting their retries.",
-            ).inc()
-            return False
-        self._attempts[request_id] = attempt + 1
-        global_registry().counter(
-            "repro_client_retries_total",
-            "Retry attempts after retryable failures.",
-        ).inc()
-        time.sleep(schedule[attempt])
-        return True
-
-    def collect(self, request_ids: List[int]) -> List[Dict[str, Any]]:
-        """Responses for ``request_ids``, in the order *asked for*."""
-        return [self.drain(request_id) for request_id in request_ids]
 
 
 def render_report(response: Dict[str, Any]) -> str:

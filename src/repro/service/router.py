@@ -1,8 +1,8 @@
 """Front-end router of the clustered analysis service.
 
 :class:`RouterServer` accepts the exact NDJSON protocol of
-:class:`~repro.service.server.AnalysisServer` — sequential clients,
-pipelined (id-tagged) clients, every op — and fans requests out over the
+:class:`~repro.service.server.AnalysisServer` — requests with and
+without ids, every op — and fans requests out over the
 worker fleet of an :class:`~repro.service.cluster.AnalysisCluster`:
 
 * ``analyze`` / ``validate`` requests are normalized to their
@@ -56,10 +56,12 @@ from .cluster import (
 )
 from .resilience import CircuitBreaker, decrement_deadline
 from .server import (
+    IMPLICIT,
     MAX_REQUEST_BYTES,
     _PipelineWriter,
-    frame_response,
+    decode_request,
     normalize_request_key,
+    response_tail,
     split_pipeline_id,
 )
 
@@ -91,90 +93,20 @@ class _Pending:
     #: The id-stripped request body (leading ``,``), kept for accounting
     #: and debuggability; responses are routed purely by the entry.
     body: bytes
-    #: Pipelined client: the link to write to plus the client's own id.
-    client: Optional["_ClientLink"] = None
-    client_id: Any = None
-    #: ``True`` when the client id can be byte-spliced (a plain int).
-    raw: bool = True
-    #: Sequential clients and internal probes resolve a future instead.
+    #: The client connection to reply on, the request's ticket there and
+    #: the client's own id (:data:`~repro.service.server.IMPLICIT` when
+    #: it sent none).
+    client: Optional[_PipelineWriter] = None
+    ticket: Optional[list] = None
+    client_id: Any = IMPLICIT
+    #: Internal probes (stats, pings) resolve a future with the decoded
+    #: response instead.
     future: Optional["asyncio.Future"] = None
-    #: Internal probes (stats, pings) want the decoded object.
     internal: bool = False
     #: Traced request: the propagated trace id plus the router-side spans
     #: to splice in front of the worker's spans in the response.
     trace_id: Optional[str] = None
     trace_spans: Optional[List[Dict[str, Any]]] = None
-
-
-class _ClientLink:
-    """One accepted client connection: reader state + batched writer."""
-
-    def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        window: int,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self._metrics = metrics
-        self.pipeline = _PipelineWriter(writer, window)
-        self.pipeline.start()
-        # FIFO of response futures for the sequential (no-id) protocol:
-        # a dedicated task writes them strictly in request order, so a
-        # pre-pipelining client sees exactly the old wire behaviour even
-        # while its requests run on different workers.
-        self.ordered: "deque[asyncio.Future]" = deque()
-        self._ordered_wake = asyncio.Event()
-        self._ordered_task: Optional[asyncio.Task] = None
-        self.closed = False
-
-    def send(self, data: bytes) -> None:
-        self.pipeline.send(data)
-
-    def submit_ordered(self, future: "asyncio.Future") -> None:
-        self.ordered.append(future)
-        self._ordered_wake.set()
-        if self._ordered_task is None:
-            self._ordered_task = asyncio.get_running_loop().create_task(
-                self._ordered_writer()
-            )
-
-    async def _ordered_writer(self) -> None:
-        while True:
-            if not self.ordered:
-                self._ordered_wake.clear()
-                await self._ordered_wake.wait()
-                continue
-            future = self.ordered.popleft()
-            try:
-                data = await future
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:  # pragma: no cover - futures carry bytes
-                # A response producer failed: the sequential client gets
-                # nothing for this request, which desynchronizes its
-                # request/response pairing — worth more than silence.
-                logger.warning(
-                    "dropping ordered response: %s: %s",
-                    type(error).__name__, error,
-                )
-                if self._metrics is not None:
-                    self._metrics.counter(
-                        "repro_router_dropped_responses_total",
-                        "Ordered responses dropped because their producer failed.",
-                    ).inc()
-                continue
-            self.send(data)
-
-    async def close(self) -> None:
-        self.closed = True
-        if self._ordered_task is not None:
-            self._ordered_task.cancel()
-            try:
-                await self._ordered_task
-            except asyncio.CancelledError:
-                pass
-            self._ordered_task = None
-        await self.pipeline.close()
 
 
 class _WorkerLink:
@@ -209,7 +141,6 @@ class _WorkerLink:
         self._reader = reader
         self._writer = writer
         self._pipeline = _PipelineWriter(writer, window=1 << 30)
-        self._pipeline.start()
         self.generation = handle.generation
         self.state = "up"
         self._read_task = asyncio.get_running_loop().create_task(self._read_loop())
@@ -281,7 +212,7 @@ class _WorkerLink:
                 pass
             self._read_task = None
         if self._pipeline is not None:
-            await self._pipeline.close()
+            self._pipeline.close()
             self._pipeline = None
         if self._writer is not None:
             try:
@@ -408,7 +339,7 @@ class RouterServer:
             await self._server.wait_closed()
             self._server = None
         for client in list(self._clients):
-            await client.close()
+            client.close()
         self._clients.clear()
         for link in self._links:
             await link.close()
@@ -421,29 +352,27 @@ class RouterServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        client = _ClientLink(
-            writer, self.cluster.config.service.pipeline_window, self.metrics
-        )
+        client = _PipelineWriter(writer, self.cluster.config.service.pipeline_window)
         self._clients.add(client)
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (ValueError, asyncio.LimitOverrunError):
-                    client.send(
-                        b'{"status":"error","code":400,"error":"request too large"}\n'
+                    self._reply(
+                        client,
+                        client.open(),
+                        IMPLICIT,
+                        {"status": "error", "code": 400, "error": "request too large"},
                     )
+                    await client.flush()
                     break
                 if not line:
                     break
                 if not line.strip():
                     continue
                 self.counters["requests"] += 1
-                request_id, tail = split_pipeline_id(line)
-                if request_id is not None:
-                    await self._admit(client, request_id, True, line, tail)
-                else:
-                    await self._admit(client, None, False, line, b"," + line[1:])
+                await self._admit(client, line)
         except ConnectionError as error:
             # Resets and broken pipes: normal client behaviour under load,
             # but worth a counter so a flapping client is visible.
@@ -454,236 +383,159 @@ class RouterServer:
             ).inc()
         finally:
             self._clients.discard(client)
-            await client.close()
+            client.close()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError) as error:
                 logger.debug("client writer close: %s", error)
 
-    async def _admit(
-        self,
-        client: _ClientLink,
-        request_id: Any,
-        pipelined: bool,
-        line: bytes,
-        body: bytes,
-    ) -> None:
+    async def _admit(self, client: _PipelineWriter, line: bytes) -> None:
         """Route one request line: memo fast path, else decode and decide.
 
-        ``body`` is the id-stripped request bytes starting at the leading
-        ``,`` — identical for equal requests regardless of framing, which
-        makes it both the route-memo key and the forwarded frame tail.
+        The request's *body* is its id-stripped bytes starting at a
+        leading ``,`` — identical for equal requests whether they came
+        framed with an id or without one, which makes it both the
+        route-memo key and the forwarded frame tail.
         """
+        ticket = client.open()
+        request_id, body = split_pipeline_id(line)
+        if request_id is None:
+            request_id = IMPLICIT
+            body = b"," + line[1:] if line.startswith(b"{") else None
         # Traced requests skip the byte-level route memo: the router must
         # decode them to mint/propagate the trace id and record its spans.
         # Deadlined requests skip it too — the router decrements the
         # remaining budget, so the forwarded bytes differ per request.
-        traced = b'"trace"' in body
-        deadlined = b'"deadline_ms"' in body
-        if not traced and not deadlined:
+        if body is not None and b'"trace"' not in body and b'"deadline_ms"' not in body:
             slot = self._route_memo.get(body)
             if slot is not None:
                 self.counters["route_memo_hits"] += 1
-                self._forward(client, request_id, pipelined, True, body, slot)
+                self._forward(client, ticket, request_id, body, slot)
                 return
-        try:
-            request = json.loads(line)
-        except json.JSONDecodeError as error:
-            self._respond_local(
-                client,
-                request_id,
-                pipelined,
-                True,
-                {"status": "error", "code": 400, "error": f"bad JSON: {error}"},
-            )
+        request, error = decode_request(line)
+        if error is None and not isinstance(request, dict):
+            error = {"status": "error", "code": 400, "error": "request must be a JSON object"}
+        if error is not None:
+            self._reply(client, ticket, request_id, error)
             return
-        if not isinstance(request, dict):
-            self._respond_local(
-                client,
-                request_id,
-                pipelined,
-                True,
-                {"status": "error", "code": 400, "error": "request must be a JSON object"},
-            )
-            return
-        raw = True
-        if not pipelined and "id" in request:
-            # Non-canonical pipelined framing: honour the id, but splice
-            # responses through the decoded path.
-            request_id = request.pop("id")
-            pipelined = True
-            raw = isinstance(request_id, int) and not isinstance(request_id, bool)
-            body = b"," + json.dumps(request, separators=(",", ":")).encode("utf-8")[1:] + b"\n"
+        if "id" in request:
+            popped = request.pop("id")
+            if request_id is IMPLICIT:
+                # A non-canonical id: honour it, and forward a re-encoded
+                # body (the line's own bytes still carry the id).
+                request_id, body = popped, None
         op = request.get("op", "analyze")
-        if op == "ping":
+        if op in ("ping", "stats", "metrics", "shutdown"):
             self.counters["local"] += 1
-            self._respond_local(
-                client, request_id, pipelined, raw, {"status": "ok", "op": "ping"}
+            if op == "ping":
+                self._reply(client, ticket, request_id, {"status": "ok", "op": "ping"})
+            elif op == "stats":
+                self._spawn_local(client, ticket, request_id, self._stats_response())
+            elif op == "metrics":
+                self._spawn_local(
+                    client, ticket, request_id, self._metrics_response(request.get("format"))
+                )
+            else:
+                self._reply(client, ticket, request_id, {"status": "ok", "op": "shutdown"})
+                asyncio.get_running_loop().create_task(self._shutdown_after_flush(client))
+            return
+        if op not in ("analyze", "validate", "tune"):
+            self.counters["local"] += 1
+            self._reply(
+                client, ticket, request_id,
+                {"status": "error", "code": 400, "error": f"unknown op {op!r}"},
             )
             return
-        if op == "stats":
-            self.counters["local"] += 1
-            self._spawn_local(client, request_id, pipelined, raw, self._stats_response())
-            return
-        if op == "metrics":
-            self.counters["local"] += 1
-            self._spawn_local(
-                client, request_id, pipelined, raw,
-                self._metrics_response(request.get("format")),
+        source = request.get("source")
+        if not isinstance(source, str) or not source.strip():
+            self._reply(
+                client, ticket, request_id,
+                {"status": "error", "code": 400, "error": "'source' must be a non-empty string"},
             )
             return
-        if op == "shutdown":
-            self.counters["local"] += 1
-            self._respond_local(
-                client, request_id, pipelined, raw, {"status": "ok", "op": "shutdown"}
-            )
-            asyncio.get_running_loop().create_task(self._shutdown_after_flush(client))
+        kind = request.get("kind", "lnum")
+        trace_id = requested_trace_id(request.get("trace"))
+        deadline_ms = request.get("deadline_ms")
+        route_started = time.perf_counter()
+        # Every op routes on the *analysis* key of the source, so a
+        # program's analyses, validations and tunings share a worker — and
+        # therefore a parse memo, judgement memo and result cache.
+        key = await asyncio.get_running_loop().run_in_executor(
+            None,
+            normalize_request_key,
+            self._keys,
+            source,
+            kind if kind in ("lnum", "fpcore") else "lnum",
+            self.cluster.config.service.inference,
+        )
+        slot = self.cluster.ring.lookup(key)
+        if trace_id is None and deadline_ms is None:
+            if body is None:
+                body = response_tail(request)
+            self._route_memo.put(body, slot)
+            self._forward(client, ticket, request_id, body, slot)
             return
-        if op in ("analyze", "validate", "tune"):
-            source = request.get("source")
-            if not isinstance(source, str) or not source.strip():
-                self._respond_local(
-                    client,
-                    request_id,
-                    pipelined,
-                    raw,
+        # Re-encoded forwarding path (traced and/or deadlined).  Forward
+        # the resolved trace id (never the bare ``true``), so the worker's
+        # echo and the router's spans agree on the trace.
+        if trace_id is not None:
+            request["trace"] = trace_id
+        if deadline_ms is not None:
+            # This hop's share (key normalization, mostly) comes out of the
+            # end-to-end budget before the remainder travels on; an
+            # exhausted budget is shed here — computing an answer nobody is
+            # waiting for helps no one.
+            budget = decrement_deadline(deadline_ms, time.perf_counter() - route_started)
+            if budget is None:
+                self.counters["deadline_shed"] += 1
+                self._reply(
+                    client, ticket, request_id,
                     {
                         "status": "error",
-                        "code": 400,
-                        "error": "'source' must be a non-empty string",
+                        "code": 504,
+                        "error": "deadline_ms budget exhausted at the router",
                     },
                 )
                 return
-            kind = request.get("kind", "lnum")
-            trace_id = requested_trace_id(request.get("trace")) if traced else None
-            route_started = time.perf_counter()
-            # Both ops route on the *analysis* key of the source, so a
-            # program's analyses and validations share a worker — and
-            # therefore a parse memo, judgement memo and result cache.
-            loop = asyncio.get_running_loop()
-            key = await loop.run_in_executor(
-                None,
-                normalize_request_key,
-                self._keys,
-                source,
-                kind if kind in ("lnum", "fpcore") else "lnum",
-                self.cluster.config.service.inference,
-            )
-            slot = self.cluster.ring.lookup(key)
-            deadline_ms = request.get("deadline_ms") if deadlined else None
-            if trace_id is None and deadline_ms is None:
-                self._route_memo.put(body, slot)
-                self._forward(client, request_id, pipelined, raw, body, slot)
-                return
-            # Re-encoded forwarding path (traced and/or deadlined).
-            # Forward the resolved trace id (never the bare ``true``), so
-            # the worker's echo and the router's spans agree on the trace.
-            # The client's correlation id (still present on canonically
-            # framed lines) must not leak into the worker frame — the
-            # forwarded frame carries the router's own id.
-            request.pop("id", None)
-            if trace_id is not None:
-                request["trace"] = trace_id
-            if deadline_ms is not None:
-                # This hop's share (key normalization, mostly) comes out
-                # of the end-to-end budget before the remainder travels
-                # on; an exhausted budget is shed here — computing an
-                # answer nobody is waiting for helps no one.
-                budget = decrement_deadline(
-                    deadline_ms, time.perf_counter() - route_started
-                )
-                if budget is None:
-                    self.counters["deadline_shed"] += 1
-                    self._respond_local(
-                        client,
-                        request_id,
-                        pipelined,
-                        raw,
-                        {
-                            "status": "error",
-                            "code": 504,
-                            "error": "deadline_ms budget exhausted at the router",
-                        },
-                    )
-                    return
-                request["deadline_ms"] = budget
-            body = (
-                b","
-                + json.dumps(request, separators=(",", ":")).encode("utf-8")[1:]
-                + b"\n"
-            )
-            spans = None
-            if trace_id is not None:
-                spans = [
-                    {
-                        "name": "router.route",
-                        "seconds": time.perf_counter() - route_started,
-                        "slot": slot,
-                    }
-                ]
-            self._forward(
-                client, request_id, pipelined, raw, body, slot,
-                trace_id=trace_id, trace_spans=spans,
-            )
-            return
-        self.counters["local"] += 1
-        self._respond_local(
-            client,
-            request_id,
-            pipelined,
-            raw,
-            {"status": "error", "code": 400, "error": f"unknown op {op!r}"},
+            request["deadline_ms"] = budget
+        spans = None
+        if trace_id is not None:
+            spans = [
+                {
+                    "name": "router.route",
+                    "seconds": time.perf_counter() - route_started,
+                    "slot": slot,
+                }
+            ]
+        self._forward(
+            client, ticket, request_id, response_tail(request), slot,
+            trace_id=trace_id, trace_spans=spans,
         )
 
     # -- responses -----------------------------------------------------------
 
-    def _respond_local(
-        self,
-        client: _ClientLink,
-        request_id: Any,
-        pipelined: bool,
-        raw: bool,
-        response: Dict[str, Any],
+    @staticmethod
+    def _reply(
+        client: _PipelineWriter, ticket: list, request_id: Any, response: Dict[str, Any]
     ) -> None:
-        if pipelined:
-            client.send(frame_response(request_id, response))
-        else:
-            future = asyncio.get_running_loop().create_future()
-            future.set_result(
-                json.dumps(response, separators=(",", ":")).encode("utf-8") + b"\n"
-            )
-            client.submit_ordered(future)
+        client.reply(ticket, response_tail(response), request_id)
 
     def _spawn_local(
-        self,
-        client: _ClientLink,
-        request_id: Any,
-        pipelined: bool,
-        raw: bool,
-        coroutine,
+        self, client: _PipelineWriter, ticket: list, request_id: Any, coroutine
     ) -> None:
         """Answer from an async computation (stats) without blocking reads."""
-        loop = asyncio.get_running_loop()
-        if pipelined:
-            async def respond() -> None:
-                response = await coroutine
-                client.send(frame_response(request_id, response))
 
-            loop.create_task(respond())
-        else:
-            async def produce() -> bytes:
-                response = await coroutine
-                return json.dumps(response, separators=(",", ":")).encode("utf-8") + b"\n"
+        async def respond() -> None:
+            self._reply(client, ticket, request_id, await coroutine)
 
-            client.submit_ordered(loop.create_task(produce()))
+        asyncio.get_running_loop().create_task(respond())
 
     def _forward(
         self,
-        client: _ClientLink,
+        client: _PipelineWriter,
+        ticket: list,
         request_id: Any,
-        pipelined: bool,
-        raw: bool,
         body: bytes,
         slot: int,
         trace_id: Optional[str] = None,
@@ -696,36 +548,23 @@ class RouterServer:
             # client's backoff (plus the supervision ping acting as the
             # half-open probe) decides when traffic flows again.
             self.counters["breaker_shed"] += 1
-            self._respond_local(
-                client,
-                request_id,
-                pipelined,
-                raw,
+            self._reply(
+                client, ticket, request_id,
                 _retryable_error(f"worker {slot} circuit open; retry shortly"),
             )
             return
         if link.pending >= MAX_PENDING_PER_WORKER:
             self.counters["shed"] += 1
-            self._respond_local(
-                client,
-                request_id,
-                pipelined,
-                raw,
+            self._reply(
+                client, ticket, request_id,
                 {"status": "busy", "code": 429, "error": "worker backlog full"},
             )
             return
         router_id = next(self._sequence)
-        entry = _Pending(
-            link=link, body=body, raw=raw,
+        self._pending[router_id] = _Pending(
+            link=link, body=body, client=client, ticket=ticket, client_id=request_id,
             trace_id=trace_id, trace_spans=trace_spans,
         )
-        if pipelined:
-            entry.client = client
-            entry.client_id = request_id
-        else:
-            entry.future = asyncio.get_running_loop().create_future()
-            client.submit_ordered(entry.future)
-        self._pending[router_id] = entry
         self.counters["routed"] += 1
         link.send(router_id, b'{"id":%d' % router_id + body)
 
@@ -734,59 +573,30 @@ class RouterServer:
         entry = self._pending.pop(router_id, None)
         if entry is None:
             return
-        if not entry.internal:
-            # Any response at all proves the worker is serving; the first
-            # success after a half-open probe re-closes the circuit.
-            self._breaker_event(entry.link.slot, "record_success")
         if entry.internal:
-            try:
-                payload = json.loads(b"{" + tail[1:])
-            except json.JSONDecodeError:
-                payload = None
-            if entry.future is not None and not entry.future.done():
+            payload, _error = decode_request(b"{" + tail[1:])
+            if not entry.future.done():
                 entry.future.set_result(payload)
             return
+        # Any response at all proves the worker is serving; the first
+        # success after a half-open probe re-closes the circuit.
+        self._breaker_event(entry.link.slot, "record_success")
         if entry.trace_spans:
             # Traced responses are decoded once at the router so its own
             # spans go in front of the worker's (trace order = hop order).
-            try:
-                payload = json.loads(b"{" + tail[1:])
-            except json.JSONDecodeError:  # pragma: no cover - workers emit JSON
-                return
-            block = payload.get("trace")
-            if isinstance(block, dict):
-                block["spans"] = entry.trace_spans + list(block.get("spans", []))
-            else:
-                payload["trace"] = {"id": entry.trace_id, "spans": entry.trace_spans}
-            if entry.future is not None:
-                if not entry.future.done():
-                    entry.future.set_result(
-                        json.dumps(payload, separators=(",", ":")).encode("utf-8")
-                        + b"\n"
-                    )
-                return
-            if entry.client is None or entry.client.closed:
-                return
-            entry.client.send(frame_response(entry.client_id, payload))
-            return
-        if entry.future is not None:
-            if not entry.future.done():
-                entry.future.set_result(b"{" + tail[1:])
-            return
-        if entry.client is None or entry.client.closed:
-            return
-        if entry.raw:
-            entry.client.send(b'{"id":%d' % entry.client_id + tail)
-        else:
-            try:
-                payload = json.loads(b"{" + tail[1:])
-            except json.JSONDecodeError:  # pragma: no cover - workers emit JSON
-                return
-            entry.client.send(frame_response(entry.client_id, payload))
+            payload, _error = decode_request(b"{" + tail[1:])
+            if isinstance(payload, dict):
+                block = payload.get("trace")
+                if isinstance(block, dict):
+                    block["spans"] = entry.trace_spans + list(block.get("spans", []))
+                else:
+                    payload["trace"] = {"id": entry.trace_id, "spans": entry.trace_spans}
+                tail = response_tail(payload)
+        entry.client.reply(entry.ticket, tail, entry.client_id)
 
     def _fail(self, router_id: int, entry: _Pending, response: Dict[str, Any]) -> None:
         if entry.internal:
-            if entry.future is not None and not entry.future.done():
+            if not entry.future.done():
                 entry.future.set_result(None)
             return
         self.counters["retryable_failures"] += 1
@@ -796,21 +606,11 @@ class RouterServer:
                 **response,
                 "trace": {"id": entry.trace_id, "spans": entry.trace_spans},
             }
-        if entry.future is not None:
-            if not entry.future.done():
-                entry.future.set_result(
-                    json.dumps(response, separators=(",", ":")).encode("utf-8") + b"\n"
-                )
-            return
-        if entry.client is not None and not entry.client.closed:
-            entry.client.send(frame_response(entry.client_id, response))
+        self._reply(entry.client, entry.ticket, entry.client_id, response)
 
-    async def _shutdown_after_flush(self, client: _ClientLink) -> None:
+    async def _shutdown_after_flush(self, client: _PipelineWriter) -> None:
         """Give the shutdown acknowledgement a moment to reach the client."""
-        for _ in range(50):
-            if not client.ordered and not client.pipeline._buffer:
-                break
-            await asyncio.sleep(0.01)
+        await client.flush()
         await asyncio.sleep(0.02)
         self._shutdown.set()
 

@@ -51,17 +51,19 @@ lane / shed counters.
 Pipelining
 ----------
 
-A request may carry an integer ``id``.  Such requests are *pipelined*:
-the server handles them concurrently, many in flight per connection, and
-each response echoes the request's ``id`` as its **first** JSON member —
-``{"id":7,"status":"ok",...}`` — so responses may arrive out of order
-and a router can correlate them from the fixed byte prefix without
-decoding report payloads.  Requests without an ``id`` keep the strict
-sequential request/response ordering of the original protocol
-byte-for-byte, so pre-pipelining clients are unaffected.  Pipelined
-responses are written in batches (one ``drain`` per ready batch), which
-is where most of the multi-client throughput comes from on a loaded
-server.
+Every request is pipelined: the server reads a connection's lines as
+they arrive, handles them concurrently (many in flight per connection)
+and frames each reply for its request.  A request may carry an ``id``;
+its reply echoes the id as its **first** JSON member —
+``{"id":7,"status":"ok",...}`` — as soon as it is ready, so replies may
+arrive out of order and a router can correlate them from the fixed byte
+prefix without decoding report payloads.  A request without an ``id``
+gets a connection-local implicit one: its reply carries no id and is
+released only after every earlier request on the connection replied, so
+a client that sends no ids sees replies in request order, byte for byte
+as in the original sequential protocol.  Replies are written in batches
+(one ``drain`` per ready batch), which is where most of the multi-client
+throughput comes from on a loaded server.
 """
 
 from __future__ import annotations
@@ -113,15 +115,16 @@ __all__ = [
     "AnalysisServer",
     "AnalysisService",
     "ServiceConfig",
-    "frame_response",
+    "decode_request",
     "normalize_request_key",
+    "response_tail",
     "split_pipeline_id",
 ]
 
 #: Longest accepted request line (sources are inlined in the JSON).
 MAX_REQUEST_BYTES = 16 * 1024 * 1024
 
-#: Most pipelined requests in flight per connection before the reader
+#: Most requests in flight per connection before the reader
 #: stops pulling new lines (TCP backpressure does the rest).
 DEFAULT_PIPELINE_WINDOW = 1024
 
@@ -130,8 +133,8 @@ DEFAULT_PIPELINE_WINDOW = 1024
 RESULT_CACHE_ENTRIES = 4096
 
 #: Bounds of the hot-path memos: request-body bytes → content key, and
-#: content key → serialized report bytes.  They let a repeated pipelined
-#: request hit the memory tier without re-normalizing the source or
+#: content key → serialized report bytes.  They let a repeated request
+#: hit the memory tier without re-normalizing the source or
 #: re-encoding the report.
 HOT_KEY_ENTRIES = 4096
 HOT_REPORT_ENTRIES = 1024
@@ -228,26 +231,45 @@ def split_pipeline_id(line: bytes) -> Tuple[Optional[int], Optional[bytes]]:
     return int(line[index:end]), line[end:]
 
 
-def frame_response(request_id: Any, response: Dict[str, Any]) -> bytes:
-    """Serialize ``response`` with ``id`` spliced in as the first member."""
-    if isinstance(request_id, int) and not isinstance(request_id, bool):
-        payload = json.dumps(response, separators=(",", ":")).encode("utf-8")
-        if payload == b"{}":  # pragma: no cover - responses always carry status
-            return b'{"id":%d}\n' % request_id
-        return b'{"id":%d,' % request_id + payload[1:] + b"\n"
-    framed = {"id": request_id}
-    framed.update(response)
-    return json.dumps(framed, separators=(",", ":")).encode("utf-8") + b"\n"
+def decode_request(line: bytes) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """``(request, None)`` for a decodable line, else ``(None, 400 response)``.
+
+    The one decoder of every request path: malformed JSON *and* bytes
+    that are not UTF-8 (``UnicodeDecodeError``, which is not a
+    ``JSONDecodeError``) both become a structured 400.
+    """
+    try:
+        return json.loads(line), None
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        return None, {"status": "error", "code": 400, "error": f"bad JSON: {error}"}
+
+
+def response_tail(response: Dict[str, Any]) -> bytes:
+    """A response's reply *tail*: its JSON encoding without the leading ``{``
+    (so it starts at ``,``), newline included — what a
+    :class:`_PipelineWriter` frames for its request."""
+    return b"," + json.dumps(response, separators=(",", ":")).encode("utf-8")[1:] + b"\n"
+
+
+#: The id of a request sent without one: its reply carries no id and is
+#: released in request order among the connection's other such replies.
+IMPLICIT = object()
 
 
 class _PipelineWriter:
-    """Per-connection batching writer for pipelined responses.
+    """Per-connection reply framing, ordering and batching.
 
-    Concurrent request tasks ``send`` complete response lines; a single
-    writer task joins everything that accumulated since the last flush
-    into one ``write`` + ``drain``.  Under load this collapses hundreds
-    of per-response syscalls into a handful of large writes — the batched
-    half of "pipelining/batching on the NDJSON framing".
+    Every request on a connection gets an order ticket (:meth:`open`) when
+    it is read.  :meth:`reply` frames a reply tail for its request: an
+    explicit id's reply goes out as ``{"id":N`` + tail at once, in
+    whatever order requests finish; an :data:`IMPLICIT` id's reply goes
+    out as ``{`` + tail, but only after every earlier request on the
+    connection has replied — so a client that sends no ids sees its
+    replies in request order, although the requests run concurrently.
+
+    A single writer task joins everything that accumulated since the
+    last flush into one ``write`` + ``drain``: under load this collapses
+    hundreds of per-reply syscalls into a handful of large writes.
     """
 
     def __init__(self, writer: asyncio.StreamWriter, window: int) -> None:
@@ -256,32 +278,62 @@ class _PipelineWriter:
         self.inflight = 0
         self.closed = False
         self._buffer: list = []
+        #: Tickets of unanswered requests, oldest first: ``[None]``
+        #: until answered, then the frame to release (``b""`` once an
+        #: explicit-id reply went out on its own).
+        self._order: "deque[list]" = deque()
         self._wake = asyncio.Event()
-        self._slot = asyncio.Event()
-        self._slot.set()
-        self._task: Optional[asyncio.Task] = None
-
-    def start(self) -> None:
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
+        self._room = asyncio.Event()
+        self._room.set()
+        self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def admit(self) -> None:
         """Block the connection reader while the in-flight window is full."""
         while self.inflight >= self.window and not self.closed:
-            self._slot.clear()
-            await self._slot.wait()
-        self.inflight += 1
+            self._room.clear()
+            await self._room.wait()
 
-    def release(self) -> None:
+    def open(self) -> list:
+        """The next request's ticket (call in request order)."""
+        self.inflight += 1
+        ticket: list = [None]
+        self._order.append(ticket)
+        return ticket
+
+    def reply(self, ticket: list, tail: bytes, request_id: Any = IMPLICIT) -> None:
+        """Frame ``tail`` (see :func:`response_tail`) for its request and send it."""
         self.inflight -= 1
         if self.inflight < self.window:
-            self._slot.set()
+            self._room.set()
+        if request_id is IMPLICIT:
+            ticket[0] = b"{" + tail[1:]
+        else:
+            if isinstance(request_id, int) and not isinstance(request_id, bool):
+                prefix = b'{"id":%d' % request_id
+            else:
+                prefix = b'{"id":' + json.dumps(request_id).encode("utf-8")
+            self.send(prefix + tail)
+            ticket[0] = b""
+        order = self._order
+        while order and order[0][0] is not None:
+            frame = order.popleft()[0]
+            if frame:
+                self.send(frame)
 
     def send(self, data: bytes) -> None:
+        """Queue one complete, already framed line."""
         if self.closed:
             return
         self._buffer.append(data)
         self._wake.set()
+
+    async def flush(self, timeout: float = 0.5) -> None:
+        """Wait (bounded) until every reply so far was handed to the socket."""
+        deadline = time.monotonic() + timeout
+        while (self._order or self._buffer) and not self.closed:
+            if time.monotonic() >= deadline:
+                break
+            await asyncio.sleep(0.01)
 
     async def _run(self) -> None:
         try:
@@ -298,19 +350,12 @@ class _PipelineWriter:
             pass
         finally:
             self.closed = True
-            self._slot.set()
+            self._room.set()
 
-    async def close(self) -> None:
+    def close(self) -> None:
         self.closed = True
-        self._wake.set()
-        self._slot.set()
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+        self._room.set()
+        self._task.cancel()
 
 
 @dataclass
@@ -321,7 +366,7 @@ class ServiceConfig:
     cache_dir: Optional[str] = None  # None: memory-only (no disk tier)
     default_deadline_seconds: Optional[float] = 60.0
     inference: Optional[InferenceConfig] = None
-    #: Most pipelined (id-tagged) requests in flight per connection.
+    #: Most requests in flight per connection.
     pipeline_window: int = DEFAULT_PIPELINE_WINDOW
     #: Inference engine forwarded with every analysis job
     #: ("auto"/"interpreted"/"compiled").  ``auto`` keeps the judgement
@@ -373,7 +418,7 @@ class AnalysisService:
             metrics=self.metrics,
         )
         self._inflight: Dict[str, Job] = {}
-        # Hot-path memos for pipelined requests, touched only from the
+        # Hot-path memos for repeated requests, touched only from the
         # event loop (no locking).  ``_hot_keys`` maps the id-stripped
         # request bytes to the op + content key a full ``handle`` pass
         # computed for them; ``_hot_reports`` caches one JSON encoding per
@@ -476,14 +521,15 @@ class AnalysisService:
     def fast_payload(self, body: bytes) -> Optional[bytes]:
         """Serve a memory-cache hit for a previously-seen request body.
 
-        ``body`` is the id-stripped request line.  When the body was seen
+        ``body`` is the id-stripped request line (see
+        :meth:`AnalysisServer._serve_line`).  When the body was seen
         before (so its content key is memoized) *and* the report is in
         the memory tier, this returns the complete response **tail** —
         everything after the ``{"id":N`` prefix, newline included — built
-        from memoized report bytes.  The caller splices its own id in
-        front.  Returns ``None`` in every other case; the caller then
-        takes the full ``handle`` path, which re-validates, probes disk,
-        coalesces, or schedules as usual.
+        from memoized report bytes, for the connection's writer to frame.
+        Returns ``None`` in every other case; the caller then takes the
+        full ``handle`` path, which re-validates, probes disk, coalesces,
+        or schedules as usual.
         """
         entry = self._hot_keys.get(body)
         if entry is None:
@@ -640,7 +686,7 @@ class AnalysisService:
         if kind not in ("lnum", "fpcore"):
             return self._error(f"unknown kind {kind!r} (expected 'lnum' or 'fpcore')")
         priority_name = request.get("priority", "interactive")
-        if priority_name not in PRIORITY_NAMES:
+        if not isinstance(priority_name, str) or priority_name not in PRIORITY_NAMES:
             return self._error(
                 f"unknown priority {priority_name!r} (expected 'interactive' or 'bulk')"
             )
@@ -675,7 +721,7 @@ class AnalysisService:
                     return self._error(f"{field_name!r} must be a number or fraction string")
                 try:
                     parsed = parse_fraction(str(value))
-                except (ValueError, OverflowError, ZeroDivisionError):
+                except ValueError:
                     return self._error(f"{field_name!r} is not a valid fraction")
                 if parsed <= 0:
                     return self._error(f"{field_name!r} must be positive")
@@ -1132,55 +1178,31 @@ class AnalysisServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._connections.add(writer)
-        # The pipeline writer and task set are created lazily on the first
-        # id-tagged request: plain sequential connections never pay for
-        # them (and stay byte-for-byte identical to the pre-pipelining
-        # protocol, ordering included).
-        pipeline: Optional[_PipelineWriter] = None
+        pipeline = _PipelineWriter(writer, self.service.config.pipeline_window)
         tasks: set = set()
         try:
             while True:
                 try:
                     line = await reader.readline()
                 except (ValueError, asyncio.LimitOverrunError):
-                    await self._respond(
-                        writer,
-                        {"status": "error", "code": 400, "error": "request too large"},
+                    pipeline.reply(
+                        pipeline.open(),
+                        response_tail(
+                            {"status": "error", "code": 400, "error": "request too large"}
+                        ),
                     )
+                    await pipeline.flush()
                     break
                 if not line:
                     break
                 if not line.strip():
                     continue
-                request_id, body = split_pipeline_id(line)
-                if request_id is not None:
-                    pipeline = pipeline or self._start_pipeline(writer)
-                    await pipeline.admit()
-                    self._spawn(tasks, self._pipelined(pipeline, request_id, line, body))
-                    continue
-                try:
-                    request = json.loads(line)
-                except json.JSONDecodeError as error:
-                    await self._respond(
-                        writer,
-                        {"status": "error", "code": 400, "error": f"bad JSON: {error}"},
-                    )
-                    continue
-                if isinstance(request, dict) and "id" in request:
-                    # Non-canonical framing (id not the leading member)
-                    # still selects pipelined handling — only the bytes
-                    # fast path needs the canonical prefix.
-                    pipeline = pipeline or self._start_pipeline(writer)
-                    await pipeline.admit()
-                    self._spawn(
-                        tasks, self._pipelined_parsed(pipeline, request.pop("id"), request)
-                    )
-                    continue
-                response = await self.service.handle(request)
-                await self._respond(writer, response)
-                if isinstance(request, dict) and request.get("op") == "shutdown":
-                    self._shutdown.set()
-                    break
+                await pipeline.admit()
+                task = asyncio.get_running_loop().create_task(
+                    self._serve_line(pipeline, pipeline.open(), line)
+                )
+                tasks.add(task)
+                task.add_done_callback(tasks.discard)
         except ConnectionError:
             # Covers resets *and* broken pipes (a client that sent a
             # request and hung up before reading the response).
@@ -1194,82 +1216,53 @@ class AnalysisServer:
                     await task
                 except (asyncio.CancelledError, Exception):
                     pass
-            if pipeline is not None:
-                await pipeline.close()
+            pipeline.close()
             try:
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
 
-    def _start_pipeline(self, writer: asyncio.StreamWriter) -> _PipelineWriter:
-        pipeline = _PipelineWriter(writer, self.service.config.pipeline_window)
-        pipeline.start()
-        return pipeline
+    async def _serve_line(self, pipeline: _PipelineWriter, ticket: list, line: bytes) -> None:
+        """Answer one request line; every line of a connection runs here.
 
-    @staticmethod
-    def _spawn(tasks: set, coroutine) -> None:
-        task = asyncio.get_running_loop().create_task(coroutine)
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-
-    async def _pipelined(
-        self,
-        pipeline: _PipelineWriter,
-        request_id: int,
-        line: bytes,
-        body: Optional[bytes],
-    ) -> None:
-        """Handle one canonically-framed pipelined request concurrently."""
-        try:
-            if body is not None:
-                fast = self.service.fast_payload(body)
-                if fast is not None:
-                    frame = await self._wire_fault(
-                        b'{"id":%d' % request_id + fast, pipeline.writer
-                    )
-                    if frame is not None:
-                        pipeline.send(frame)
-                    return
+        A canonical ``{"id":N,...`` frame and an id-less line starting
+        with ``{`` both reduce to the same id-stripped *body*, so a
+        repeated request takes the byte-spliced hot path
+        (:meth:`AnalysisService.fast_payload`) whichever way it is framed.
+        """
+        request_id, body = split_pipeline_id(line)
+        if request_id is None:
+            request_id = IMPLICIT
+            body = b"," + line[1:] if line.startswith(b"{") else None
+        request: Any = None
+        tail = self.service.fast_payload(body) if body is not None else None
+        if tail is None:
+            request, error = decode_request(line)
+            if error is not None:
+                response = error
+            else:
+                if isinstance(request, dict) and "id" in request:
+                    popped = request.pop("id")
+                    if request_id is IMPLICIT:
+                        # A non-canonical id: the body still carries it,
+                        # so it must never key the hot path.
+                        request_id, body = popped, None
+                response = await self.service.handle(request)
+                if body is not None:
+                    self.service.remember_key(body, request, response)
+            tail = response_tail(response)
+        tail = await self._wire_fault(tail, pipeline.writer)
+        if tail is None:
+            return
+        pipeline.reply(ticket, tail, request_id)
+        if isinstance(request, dict) and request.get("op") == "shutdown":
             try:
-                request = json.loads(line)
-            except json.JSONDecodeError as error:
-                pipeline.send(
-                    frame_response(
-                        request_id,
-                        {"status": "error", "code": 400, "error": f"bad JSON: {error}"},
-                    )
-                )
-                return
-            request.pop("id", None)
-            response = await self.service.handle(request)
-            if body is not None:
-                self.service.remember_key(body, request, response)
-            frame = await self._wire_fault(
-                frame_response(request_id, response), pipeline.writer
-            )
-            if frame is not None:
-                pipeline.send(frame)
-            if request.get("op") == "shutdown":
+                await pipeline.flush()
+            finally:
+                # Also when the client hangs up on the acknowledgement and
+                # its connection's teardown cancels this task.
                 self._shutdown.set()
-        finally:
-            pipeline.release()
-
-    async def _pipelined_parsed(
-        self, pipeline: _PipelineWriter, request_id: Any, request: Dict[str, Any]
-    ) -> None:
-        """Handle one already-decoded pipelined request (any id position)."""
-        try:
-            response = await self.service.handle(request)
-            frame = await self._wire_fault(
-                frame_response(request_id, response), pipeline.writer
-            )
-            if frame is not None:
-                pipeline.send(frame)
-            if request.get("op") == "shutdown":
-                self._shutdown.set()
-        finally:
-            pipeline.release()
 
     @staticmethod
     async def _wire_fault(
@@ -1302,13 +1295,3 @@ class AnalysisServer:
             writer.transport.abort()
             return None
         return frame
-
-    async def _respond(
-        self, writer: asyncio.StreamWriter, response: Dict[str, Any]
-    ) -> None:
-        frame = json.dumps(response, separators=(",", ":")).encode("utf-8") + b"\n"
-        frame = await self._wire_fault(frame, writer)
-        if frame is None:
-            return
-        writer.write(frame)
-        await writer.drain()

@@ -20,6 +20,7 @@ a different target or budget reuses every previously certified candidate.
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -82,12 +83,29 @@ PROBE_SITE_CAP = 512
 REFINEMENT_BATCH = 16
 
 
+#: Largest decimal exponent :func:`parse_fraction` accepts (Python's
+#: default int-string digit limit).  ``Fraction("1e10000000")`` would
+#: build a ten-million-digit integer: seconds of CPU, superlinear in the
+#: exponent.
+MAX_DECIMAL_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Exact fraction from CLI/JSON text (``"1/8"``, ``"0.25"``, ``"1e-6"``)."""
+    """Exact fraction from CLI/JSON text (``"1/8"``, ``"0.25"``, ``"1e-6"``).
+
+    Raises ``ValueError`` for anything that is not a finite fraction:
+    junk, ``inf``/``nan``, a zero denominator, or a decimal exponent
+    beyond :data:`MAX_DECIMAL_EXPONENT`.
+    """
+    match = _EXPONENT.search(text)
+    if match is not None and abs(int(match.group(1))) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"exponent of {text!r} is beyond +/-{MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(text)
-    except ValueError:
-        return Fraction(float(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.benchsuite.paper_examples import PAPER_EXAMPLES
 from repro.perf.service_bench import _RouterHarness, bench_sources
-from repro.service.client import PipelinedClient, ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.cluster import HashRing
 from repro.service.server import ServiceConfig
 
@@ -172,7 +172,7 @@ class TestRouting:
             for name, kind, source in corpus:
                 response = client.analyze(source, kind=kind, name=name)
                 expected.append((response["key"], response["report"]["name"]))
-        with PipelinedClient(port=cluster4.port, timeout=120) as client:
+        with ServiceClient(port=cluster4.port, timeout=120) as client:
             submitted = {}
             for round_index in range(2):
                 for index, (name, kind, source) in enumerate(corpus):
@@ -276,7 +276,7 @@ class TestSupervision:
             client.analyze(source, kind="lnum", name="FMA")  # persists to the disk tier
 
         restarts_before = _aggregated(cluster2.port)["cluster"]["restarts"]
-        with PipelinedClient(port=cluster2.port, timeout=60) as client:
+        with ServiceClient(port=cluster2.port, timeout=60) as client:
             request_id = client.submit(
                 {"op": "validate", "source": source, "kind": "lnum",
                  "samples": 8192, "points": 4, "seed": 0}

@@ -31,7 +31,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import RequestTrace, new_trace_id, requested_trace_id
 from repro.perf.service_bench import _RouterHarness, _ServerHarness
 from repro.service import AnalysisService, ServiceClient, ServiceConfig
-from repro.service.client import PipelinedClient
 
 EXAMPLES = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples", "programs"
@@ -559,7 +558,7 @@ class TestServerWire:
             assert "cache.lookup" in span_names(response)
 
     def test_pipelined_traced_duplicates_cost_one_inference(self, server):
-        with PipelinedClient(port=server.port, timeout=120) as client:
+        with ServiceClient(port=server.port, timeout=120) as client:
             first = client.submit(
                 {"op": "analyze", "source": HORNER_SOURCE, "trace": True}
             )
@@ -624,7 +623,7 @@ class TestClusterObservability:
         assert response["trace"]["spans"][0]["name"] == "router.route"
 
     def test_pipelined_traced_requests_through_the_router(self, cluster2):
-        with PipelinedClient(port=cluster2.port, timeout=120) as client:
+        with ServiceClient(port=cluster2.port, timeout=120) as client:
             ids = [
                 client.submit(
                     {"op": "analyze", "source": HORNER_SOURCE, "trace": True}

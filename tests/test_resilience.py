@@ -339,6 +339,75 @@ class TestClientTimeout:
             listener.close()
 
 
+class TestRetryDeadline:
+    def test_resubmits_keep_the_id_and_shrink_the_deadline(self):
+        """A retried request never carries more budget than it has left."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        port = listener.getsockname()[1]
+        frames = []
+
+        def serve():
+            connection, _ = listener.accept()
+            with connection, connection.makefile("rb") as reader:
+                for reply in (
+                    {"status": "error", "code": 503, "error": "busy worker", "retryable": True},
+                    {"status": "ok", "op": "ping"},
+                ):
+                    frame = json.loads(reader.readline())
+                    frames.append(frame)
+                    reply = {"id": frame["id"], **reply}
+                    connection.sendall(json.dumps(reply).encode("utf-8") + b"\n")
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            policy = RetryPolicy(retries=2, base_delay=0.05, jitter=0.0)
+            with ServiceClient(port=port, timeout=10, retry=policy) as client:
+                response = client.request({"op": "ping", "deadline_ms": 5000})
+            thread.join(timeout=10)
+        finally:
+            listener.close()
+        assert response == {"status": "ok", "op": "ping"}
+        first, second = frames
+        assert second["id"] == first["id"]
+        assert first["deadline_ms"] == 5000
+        # At least the 50 ms backoff came out of the budget.
+        assert second["deadline_ms"] <= 5000 - 50
+
+    def test_dropped_connection_resubmits_with_a_smaller_deadline(self):
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(2)
+        port = listener.getsockname()[1]
+        frames = []
+
+        def serve():
+            for answer in (False, True):  # hang up on the first connection
+                connection, _ = listener.accept()
+                with connection, connection.makefile("rb") as reader:
+                    frame = json.loads(reader.readline())
+                    frames.append(frame)
+                    if answer:
+                        reply = {"id": frame["id"], "status": "ok", "op": "ping"}
+                        connection.sendall(json.dumps(reply).encode("utf-8") + b"\n")
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            policy = RetryPolicy(retries=2, base_delay=0.05, jitter=0.0)
+            with ServiceClient(port=port, timeout=10, retry=policy) as client:
+                response = client.request({"op": "ping", "deadline_ms": 5000})
+            thread.join(timeout=10)
+        finally:
+            listener.close()
+        assert response == {"status": "ok", "op": "ping"}
+        first, second = frames
+        assert second["id"] == first["id"]
+        assert second["deadline_ms"] <= 5000 - 50
+
+
 # ---------------------------------------------------------------------------
 # Corrupt-cache quarantine (satellite)
 # ---------------------------------------------------------------------------

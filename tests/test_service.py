@@ -11,6 +11,7 @@ import asyncio
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -799,7 +800,14 @@ class TestAnalysisService:
                     {"op": "analyze", "source": "x", "priority": "vip"}
                 )
             )["status"] == "error"
-            assert service.counters["errors"] == 5
+            # An unhashable priority is a 400, not a 500 TypeError.
+            started = time.monotonic()
+            response = await service.handle(
+                {"op": "analyze", "source": "x", "priority": []}
+            )
+            assert response["code"] == 400
+            assert time.monotonic() - started < 1.0
+            assert service.counters["errors"] == 6
             await service.stop()
 
         run(scenario())

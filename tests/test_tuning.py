@@ -10,6 +10,7 @@ the ``tune`` op of the analysis service.
 
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -399,6 +400,13 @@ class TestTuneCLI:
         assert code == 1
         assert "infeasible" in capsys.readouterr().out
 
+    def test_bad_targets_exit_with_a_message(self, capsys):
+        path = os.path.join(EXAMPLES, "fma.lnum")
+        for target in ("inf", "1/0", "1e10000000"):
+            with pytest.raises(SystemExit) as info:
+                self.run_cli(["tune", path, "--no-cache", "--target", target])
+            assert str(info.value).startswith("repro tune: "), target
+
     def test_bad_program_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.lnum"
         bad.write_text("function oops {")
@@ -481,8 +489,15 @@ class TestServeTune:
         from repro.service import ServiceClient, ServiceError
 
         with ServiceClient(port=live_server) as client:
-            with pytest.raises(ServiceError):
-                client.tune(FMA_SOURCE, target="not-a-number")
+            # Non-finite text, a zero denominator and an exponent whose
+            # exact value would take seconds to build are each rejected
+            # up front, well inside a second.
+            for target in ("not-a-number", "inf", "1/0", "1e10000000"):
+                started = time.monotonic()
+                with pytest.raises(ServiceError) as info:
+                    client.tune(FMA_SOURCE, target=target)
+                assert info.value.response["code"] == 400, target
+                assert time.monotonic() - started < 1.0, target
             with pytest.raises(ServiceError):
                 client.tune(FMA_SOURCE, budget=0)
 

@@ -2,17 +2,20 @@
 
 ``tests/data/serve_transcript.json`` holds request lines and the replies
 a single :class:`~repro.service.server.AnalysisServer` and a 1-worker
-:class:`~repro.service.router.RouterServer` sent for them.  Each test
-replays the lines on one connection, waiting for each reply before the
-next line, and compares the replies byte for byte after zeroing the timing members
-(response latency, report and inference seconds, engine phase times and
-trace span times).  ``stats`` replies are compared by their key sets only.
+:class:`~repro.service.router.RouterServer` sent for them.  The first
+test replays the lines on one connection, waiting for each reply before
+the next line, and compares the replies byte for byte after zeroing the
+timing members (response latency, report and inference seconds, engine
+phase times and trace span times).  ``stats`` replies are compared by
+their key sets only.
 
 The exchange covers unframed requests, canonical ``{"id":N,...}``
 frames, non-canonical and string ids, ``ping``, an ``analyze`` miss and
 hits (including the server's byte-spliced hot path), a traced request,
-``validate``, 400 errors on every framing, ``stats`` and, last,
-``shutdown``.
+``validate``, 400 errors on every framing, ``stats``, lines with
+leading whitespace and, last, ``shutdown``.  The tests after it cover
+what one recorded exchange cannot: bytes that are not UTF-8, and id-less
+requests that run concurrently yet reply in request order.
 
 To re-record after a deliberate protocol change, run :func:`record`
 against both targets and rewrite the data file with its output.
@@ -27,6 +30,12 @@ import pytest
 
 from repro.perf.service_bench import _RouterHarness, _ServerHarness
 from repro.service.server import ServiceConfig
+
+_FMA = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples", "programs", "fma.lnum"
+)
+with open(_FMA, "r", encoding="utf-8") as _handle:
+    SLOW_SOURCE = _handle.read()
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "serve_transcript.json")
 
@@ -84,3 +93,43 @@ def test_replies_match_the_recorded_transcript(target):
     for step, reply in zip(steps, replies):
         assert reply == step[target], step["send"][:120]
     assert len(replies) == len(steps)
+
+
+@pytest.mark.parametrize("target", ["server", "router"])
+@pytest.mark.parametrize("framing", [b"", b'"id":1,'], ids=["unframed", "id-frame"])
+def test_invalid_utf8_gets_a_400_and_the_connection_survives(target, framing):
+    # Bytes that are not UTF-8 fail ``json.loads`` with a
+    # ``UnicodeDecodeError``, not a ``JSONDecodeError``: the reply must
+    # still be a structured 400 on the same framing, and the connection
+    # must go on serving.
+    with _harness(target) as harness:
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=30) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b"{" + framing + b'"op":"ping","note":"\xff\xfe"}\n')
+            reply = json.loads(reader.readline())
+            assert reply["status"] == "error" and reply["code"] == 400, reply
+            assert "utf-8" in reply["error"], reply
+            if framing:
+                assert reply["id"] == 1
+            else:
+                assert "id" not in reply
+            sock.sendall(b'{"op":"ping"}\n')
+            assert json.loads(reader.readline()) == {"status": "ok", "op": "ping"}
+
+
+@pytest.mark.parametrize("target", ["server", "router"])
+def test_requests_without_ids_run_concurrently_and_reply_in_order(target):
+    # A slow id-less request does not hold up the connection: an id-tagged
+    # request sent after it is answered first, while the id-less replies
+    # still come back in request order.
+    slow = json.dumps(
+        {"op": "validate", "source": SLOW_SOURCE, "samples": 4096, "points": 4}
+    ).encode("utf-8")
+    with _harness(target) as harness:
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=120) as sock:
+            sock.sendall(slow + b'\n{"op":"ping"}\n{"id":1,"op":"ping"}\n')
+            reader = sock.makefile("rb")
+            replies = [json.loads(reader.readline()) for _ in range(3)]
+    assert replies[0] == {"id": 1, "status": "ok", "op": "ping"}
+    assert replies[1]["op"] == "validate" and replies[1]["status"] == "ok", replies[1]
+    assert replies[2] == {"status": "ok", "op": "ping"}
