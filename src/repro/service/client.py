@@ -102,6 +102,10 @@ class ServiceClient:
         #: submit time) and the per-request attempt counters.
         self._inflight: Dict[int, Tuple[Dict[str, Any], float]] = {}
         self._attempts: Dict[int, int] = {}
+        #: The last transport failure, and the requests it ended: their
+        #: ``deadline_ms`` budget was spent before they could be resubmitted.
+        self._last_failure: Optional[ServiceError] = None
+        self._failed: Dict[int, ServiceError] = {}
 
     # -- connection management ----------------------------------------------
 
@@ -170,10 +174,11 @@ class ServiceClient:
         try:
             self.connect()
             self._write(request_id, payload)
-        except ServiceError:
+        except ServiceError as error:
             if self.retry is None:
                 raise
             # The connection is gone: the first drain pass resubmits it.
+            self._last_failure = error
         return request_id
 
     def _write(self, request_id: int, payload: Dict[str, Any]) -> None:
@@ -207,9 +212,15 @@ class ServiceClient:
         coalesces or hits the cache.  A ``deadline_ms`` budget is reduced
         by the time spent since the first submit before every resubmit,
         so retrying never extends the caller's end-to-end deadline; once
-        it is spent, the last failure stands.
+        it is spent, the last failure stands: a retryable reply is
+        returned, a transport failure is raised — also for a request whose
+        budget ran out while another request was being drained.
         """
         while True:
+            failure = self._failed.pop(request_id, None)
+            if failure is not None:
+                self._attempts.pop(request_id, None)
+                raise failure
             response = self._drain_once(request_id)
             if response is None:
                 # Transport failure with retries left: the connection was
@@ -245,6 +256,8 @@ class ServiceClient:
                 # A failed submit or a dropped connection: reconnect and
                 # resubmit everything in flight.
                 self._resubmit_all()
+                if request_id in self._failed:
+                    return None
             response = self._responses.pop(request_id, None)
             if response is not None:
                 return response
@@ -272,9 +285,10 @@ class ServiceClient:
                     return response
                 if got is not None:
                     self._responses[got] = response
-        except ServiceError:
+        except ServiceError as error:
             if self.retry is None or not self._retry_all(request_id):
                 raise
+            self._last_failure = error
             return None
 
     def _retry_one(self, request_id: int) -> bool:
@@ -289,8 +303,9 @@ class ServiceClient:
         try:
             self.connect()
             self._write(request_id, payload)
-        except ServiceError:
-            pass  # the connection is gone: the next drain pass resubmits
+        except ServiceError as error:
+            # The connection is gone: the next drain pass resubmits.
+            self._last_failure = error
         return True
 
     def _retry_all(self, request_id: int) -> bool:
@@ -311,12 +326,9 @@ class ServiceClient:
             payload = self._budgeted(request_id, 0.0)
             if payload is None:
                 del self._inflight[request_id]
-                self._responses[request_id] = {
-                    "id": request_id,
-                    "status": "error",
-                    "code": 504,
-                    "error": "deadline_ms budget spent before a retry",
-                }
+                self._failed[request_id] = self._last_failure or ServiceError(
+                    f"connection to {self.host}:{self.port} lost"
+                )
                 continue
             self._write(request_id, payload)
 

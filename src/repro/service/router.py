@@ -61,7 +61,9 @@ from .server import (
     _PipelineWriter,
     decode_request,
     normalize_request_key,
+    pop_request_id,
     response_tail,
+    split_frame,
     split_pipeline_id,
 )
 
@@ -102,7 +104,6 @@ class _Pending:
     #: Internal probes (stats, pings) resolve a future with the decoded
     #: response instead.
     future: Optional["asyncio.Future"] = None
-    internal: bool = False
     #: Traced request: the propagated trace id plus the router-side spans
     #: to splice in front of the worker's spans in the response.
     trace_id: Optional[str] = None
@@ -336,11 +337,14 @@ class RouterServer:
         self._supervisors = []
         if self._server is not None:
             self._server.close()
+            # Close the live client connections too, so no handler stays
+            # parked in readline() (or waiting for replies) past shutdown.
+            for client in list(self._clients):
+                client.close()
+                client.writer.close()
+            self._clients.clear()
             await self._server.wait_closed()
             self._server = None
-        for client in list(self._clients):
-            client.close()
-        self._clients.clear()
         for link in self._links:
             await link.close()
         await asyncio.get_running_loop().run_in_executor(None, self.cluster.stop)
@@ -365,7 +369,6 @@ class RouterServer:
                         IMPLICIT,
                         {"status": "error", "code": 400, "error": "request too large"},
                     )
-                    await client.flush()
                     break
                 if not line:
                     break
@@ -373,6 +376,9 @@ class RouterServer:
                     continue
                 self.counters["requests"] += 1
                 await self._admit(client, line)
+            # End of input (a client may half-close after its last
+            # request): every request read so far is still answered.
+            await client.flush()
         except ConnectionError as error:
             # Resets and broken pipes: normal client behaviour under load,
             # but worth a counter so a flapping client is visible.
@@ -399,10 +405,7 @@ class RouterServer:
         route-memo key and the forwarded frame tail.
         """
         ticket = client.open()
-        request_id, body = split_pipeline_id(line)
-        if request_id is None:
-            request_id = IMPLICIT
-            body = b"," + line[1:] if line.startswith(b"{") else None
+        request_id, body = split_frame(line)
         # Traced requests skip the byte-level route memo: the router must
         # decode them to mint/propagate the trace id and record its spans.
         # Deadlined requests skip it too — the router decrements the
@@ -419,12 +422,8 @@ class RouterServer:
         if error is not None:
             self._reply(client, ticket, request_id, error)
             return
-        if "id" in request:
-            popped = request.pop("id")
-            if request_id is IMPLICIT:
-                # A non-canonical id: honour it, and forward a re-encoded
-                # body (the line's own bytes still carry the id).
-                request_id, body = popped, None
+        # A non-canonical id leaves no body: the request is re-encoded.
+        request_id, body = pop_request_id(request, request_id, body)
         op = request.get("op", "analyze")
         if op in ("ping", "stats", "metrics", "shutdown"):
             self.counters["local"] += 1
@@ -573,7 +572,7 @@ class RouterServer:
         entry = self._pending.pop(router_id, None)
         if entry is None:
             return
-        if entry.internal:
+        if entry.future is not None:
             payload, _error = decode_request(b"{" + tail[1:])
             if not entry.future.done():
                 entry.future.set_result(payload)
@@ -595,7 +594,7 @@ class RouterServer:
         entry.client.reply(entry.ticket, tail, entry.client_id)
 
     def _fail(self, router_id: int, entry: _Pending, response: Dict[str, Any]) -> None:
-        if entry.internal:
+        if entry.future is not None:
             if not entry.future.done():
                 entry.future.set_result(None)
             return
@@ -609,7 +608,8 @@ class RouterServer:
         self._reply(entry.client, entry.ticket, entry.client_id, response)
 
     async def _shutdown_after_flush(self, client: _PipelineWriter) -> None:
-        """Give the shutdown acknowledgement a moment to reach the client."""
+        """Stop once the replies to everything the client sent up to the
+        shutdown (its acknowledgement last) reached the socket."""
         await client.flush()
         await asyncio.sleep(0.02)
         self._shutdown.set()
@@ -741,7 +741,6 @@ class RouterServer:
         entry = _Pending(
             link=link,
             body=body,
-            internal=True,
             future=asyncio.get_running_loop().create_future(),
         )
         self._pending[router_id] = entry

@@ -61,9 +61,11 @@ prefix without decoding report payloads.  A request without an ``id``
 gets a connection-local implicit one: its reply carries no id and is
 released only after every earlier request on the connection replied, so
 a client that sends no ids sees replies in request order, byte for byte
-as in the original sequential protocol.  Replies are written in batches
-(one ``drain`` per ready batch), which is where most of the multi-client
-throughput comes from on a loaded server.
+as in the original sequential protocol.  A client may half-close after
+its last request: every request read before the end of input is still
+answered, and a ``shutdown`` waits for the replies ahead of it.  Replies
+are written in batches (one ``drain`` per ready batch), which is where
+most of the multi-client throughput comes from on a loaded server.
 """
 
 from __future__ import annotations
@@ -118,6 +120,7 @@ __all__ = [
     "decode_request",
     "normalize_request_key",
     "response_tail",
+    "split_frame",
     "split_pipeline_id",
 ]
 
@@ -127,6 +130,11 @@ MAX_REQUEST_BYTES = 16 * 1024 * 1024
 #: Most requests in flight per connection before the reader
 #: stops pulling new lines (TCP backpressure does the rest).
 DEFAULT_PIPELINE_WINDOW = 1024
+
+#: Longest a connection's teardown (or a ``shutdown``) waits for the
+#: replies of the requests read before it to be written: the default
+#: request deadline, so a reply still being computed is not cut off.
+FLUSH_TIMEOUT = 60.0
 
 #: Memory-tier capacity of the result cache (reports, validation and
 #: tuning results).
@@ -256,6 +264,41 @@ def response_tail(response: Dict[str, Any]) -> bytes:
 IMPLICIT = object()
 
 
+def split_frame(line: bytes) -> Tuple[Any, Optional[bytes]]:
+    """A request line's ``(request_id, body)``, before any JSON decoding.
+
+    The *body* is the id-stripped request bytes starting at ``,`` —
+    identical for equal requests whether they came framed with a
+    canonical ``{"id":N,`` prefix or without an id, which makes it the
+    hot-path memo key and, in the router, the forwarded frame tail.  A
+    line without the canonical prefix gets the :data:`IMPLICIT` id and a
+    body only when it starts with ``{`` (``None`` otherwise: the caller
+    decodes and re-encodes).  The id may still turn out to be a
+    non-canonical one; see :func:`pop_request_id`.
+    """
+    request_id, body = split_pipeline_id(line)
+    if request_id is None:
+        return IMPLICIT, (b"," + line[1:] if line.startswith(b"{") else None)
+    return request_id, body
+
+
+def pop_request_id(
+    request: Dict[str, Any], request_id: Any, body: Optional[bytes]
+) -> Tuple[Any, Optional[bytes]]:
+    """Take a decoded request's ``id`` member off it.
+
+    A line without the canonical prefix whose request still carries an
+    ``id`` (any JSON value, in any position) is answered under that id;
+    its body still contains the id, so it must never key a hot path and
+    comes back ``None``.  Returns the final ``(request_id, body)``.
+    """
+    if "id" in request:
+        popped = request.pop("id")
+        if request_id is IMPLICIT:
+            return popped, None
+    return request_id, body
+
+
 class _PipelineWriter:
     """Per-connection reply framing, ordering and batching.
 
@@ -282,9 +325,14 @@ class _PipelineWriter:
         #: until answered, then the frame to release (``b""`` once an
         #: explicit-id reply went out on its own).
         self._order: "deque[list]" = deque()
+        #: Tickets handed out and tickets released, for :meth:`flush`.
+        self._opened = 0
+        self._released = 0
         self._wake = asyncio.Event()
         self._room = asyncio.Event()
         self._room.set()
+        #: Set whenever a batch reaches the socket (or the writer closes).
+        self._written = asyncio.Event()
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def admit(self) -> None:
@@ -296,6 +344,7 @@ class _PipelineWriter:
     def open(self) -> list:
         """The next request's ticket (call in request order)."""
         self.inflight += 1
+        self._opened += 1
         ticket: list = [None]
         self._order.append(ticket)
         return ticket
@@ -317,6 +366,7 @@ class _PipelineWriter:
         order = self._order
         while order and order[0][0] is not None:
             frame = order.popleft()[0]
+            self._released += 1
             if frame:
                 self.send(frame)
 
@@ -327,13 +377,21 @@ class _PipelineWriter:
         self._buffer.append(data)
         self._wake.set()
 
-    async def flush(self, timeout: float = 0.5) -> None:
-        """Wait (bounded) until every reply so far was handed to the socket."""
-        deadline = time.monotonic() + timeout
-        while (self._order or self._buffer) and not self.closed:
-            if time.monotonic() >= deadline:
-                break
-            await asyncio.sleep(0.01)
+    async def flush(self) -> None:
+        """Wait until the replies of every request opened so far were
+        handed to the socket — replies still being computed included —
+        or the connection closed; at most :data:`FLUSH_TIMEOUT`."""
+        target = self._opened
+
+        async def written() -> None:
+            while not self.closed and (self._released < target or self._buffer):
+                self._written.clear()
+                await self._written.wait()
+
+        try:
+            await asyncio.wait_for(written(), FLUSH_TIMEOUT)
+        except asyncio.TimeoutError:
+            logger.warning("gave up waiting for replies after %.0f s", FLUSH_TIMEOUT)
 
     async def _run(self) -> None:
         try:
@@ -345,16 +403,19 @@ class _PipelineWriter:
                 batch = b"".join(self._buffer)
                 self._buffer.clear()
                 self.writer.write(batch)
+                self._written.set()
                 await self.writer.drain()
         except (ConnectionError, OSError):
             pass
         finally:
             self.closed = True
             self._room.set()
+            self._written.set()
 
     def close(self) -> None:
         self.closed = True
         self._room.set()
+        self._written.set()
         self._task.cancel()
 
 
@@ -1136,10 +1197,10 @@ class AnalysisServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
-        # Live connections, so stop() can close them: since Python 3.12.1
-        # ``Server.wait_closed`` waits for every connection handler to
-        # finish, and an idle client parked in readline() would otherwise
-        # hold shutdown hostage.
+        # Live connections (their reply writers), so stop() can close
+        # them: since Python 3.12.1 ``Server.wait_closed`` waits for every
+        # connection handler to finish, and an idle client parked in
+        # readline() would otherwise hold shutdown hostage.
         self._connections: set = set()
         # Created inside the running loop (asyncio primitives bind their
         # loop at construction on Python 3.9).
@@ -1166,8 +1227,9 @@ class AnalysisServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
-            for writer in list(self._connections):
-                writer.close()
+            for pipeline in list(self._connections):
+                pipeline.close()
+                pipeline.writer.close()
             await self._server.wait_closed()
             self._server = None
         await self.service.stop()
@@ -1177,8 +1239,8 @@ class AnalysisServer:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._connections.add(writer)
         pipeline = _PipelineWriter(writer, self.service.config.pipeline_window)
+        self._connections.add(pipeline)
         tasks: set = set()
         try:
             while True:
@@ -1191,7 +1253,6 @@ class AnalysisServer:
                             {"status": "error", "code": 400, "error": "request too large"}
                         ),
                     )
-                    await pipeline.flush()
                     break
                 if not line:
                     break
@@ -1203,12 +1264,15 @@ class AnalysisServer:
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+            # End of input (a client may half-close after its last
+            # request): every request read so far is still answered.
+            await pipeline.flush()
         except ConnectionError:
             # Covers resets *and* broken pipes (a client that sent a
             # request and hung up before reading the response).
             pass
         finally:
-            self._connections.discard(writer)
+            self._connections.discard(pipeline)
             for task in list(tasks):
                 task.cancel()
             for task in list(tasks):
@@ -1227,14 +1291,12 @@ class AnalysisServer:
         """Answer one request line; every line of a connection runs here.
 
         A canonical ``{"id":N,...`` frame and an id-less line starting
-        with ``{`` both reduce to the same id-stripped *body*, so a
-        repeated request takes the byte-spliced hot path
-        (:meth:`AnalysisService.fast_payload`) whichever way it is framed.
+        with ``{`` both reduce to the same id-stripped *body*
+        (:func:`split_frame`), so a repeated request takes the
+        byte-spliced hot path (:meth:`AnalysisService.fast_payload`)
+        whichever way it is framed.
         """
-        request_id, body = split_pipeline_id(line)
-        if request_id is None:
-            request_id = IMPLICIT
-            body = b"," + line[1:] if line.startswith(b"{") else None
+        request_id, body = split_frame(line)
         request: Any = None
         tail = self.service.fast_payload(body) if body is not None else None
         if tail is None:
@@ -1242,22 +1304,22 @@ class AnalysisServer:
             if error is not None:
                 response = error
             else:
-                if isinstance(request, dict) and "id" in request:
-                    popped = request.pop("id")
-                    if request_id is IMPLICIT:
-                        # A non-canonical id: the body still carries it,
-                        # so it must never key the hot path.
-                        request_id, body = popped, None
+                if isinstance(request, dict):
+                    request_id, body = pop_request_id(request, request_id, body)
                 response = await self.service.handle(request)
                 if body is not None:
                     self.service.remember_key(body, request, response)
             tail = response_tail(response)
         tail = await self._wire_fault(tail, pipeline.writer)
         if tail is None:
+            # The fault took the connection down: nothing more is written.
+            pipeline.close()
             return
         pipeline.reply(ticket, tail, request_id)
         if isinstance(request, dict) and request.get("op") == "shutdown":
             try:
+                # The replies to everything sent before the shutdown go
+                # out first, then the acknowledgement.
                 await pipeline.flush()
             finally:
                 # Also when the client hangs up on the acknowledgement and

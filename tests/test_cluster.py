@@ -289,7 +289,7 @@ class TestSupervision:
                 # request marks the slot as the one to kill.
                 for router_id in list(link.outstanding):
                     entry = router._pending.get(router_id)
-                    if entry is not None and not entry.internal:
+                    if entry is not None and entry.future is None:
                         victim = slot
                         break
                 if victim is not None:

@@ -407,6 +407,52 @@ class TestRetryDeadline:
         assert second["id"] == first["id"]
         assert second["deadline_ms"] <= 5000 - 50
 
+    def test_a_budget_spent_by_another_retry_raises_the_last_failure(self):
+        # Two requests are in flight when the connection drops.  Draining
+        # the first backs off and resubmits everything in flight; by then
+        # the second request's deadline_ms is spent, so it is not
+        # resubmitted and draining it raises the transport failure, as a
+        # spent budget does for the request being drained.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(2)
+        port = listener.getsockname()[1]
+        resubmitted = []
+
+        def serve():
+            connection, _ = listener.accept()
+            with connection, connection.makefile("rb") as reader:
+                reader.readline()
+                reader.readline()  # read both, then hang up unanswered
+            connection, _ = listener.accept()
+            with connection, connection.makefile("rb") as reader:
+                frame = json.loads(reader.readline())
+                resubmitted.append(frame)
+                reply = {"id": frame["id"], "status": "ok", "op": "ping"}
+                connection.sendall(json.dumps(reply).encode("utf-8") + b"\n")
+                connection.settimeout(1.0)
+                try:
+                    extra = reader.readline()
+                except OSError:
+                    extra = b""
+                if extra:
+                    resubmitted.append(json.loads(extra))
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            policy = RetryPolicy(retries=2, base_delay=0.1, jitter=0.0)
+            with ServiceClient(port=port, timeout=10, retry=policy) as client:
+                roomy = client.submit({"op": "ping"})
+                tight = client.submit({"op": "ping", "deadline_ms": 50})
+                assert client.drain(roomy) == {"id": roomy, "status": "ok", "op": "ping"}
+                with pytest.raises(ServiceError, match="closed the connection"):
+                    client.drain(tight)
+            thread.join(timeout=10)
+        finally:
+            listener.close()
+        assert [frame["id"] for frame in resubmitted] == [roomy]
+
 
 # ---------------------------------------------------------------------------
 # Corrupt-cache quarantine (satellite)

@@ -14,14 +14,16 @@ frames, non-canonical and string ids, ``ping``, an ``analyze`` miss and
 hits (including the server's byte-spliced hot path), a traced request,
 ``validate``, 400 errors on every framing, ``stats``, lines with
 leading whitespace and, last, ``shutdown``.  The tests after it cover
-what one recorded exchange cannot: bytes that are not UTF-8, and id-less
-requests that run concurrently yet reply in request order.
+what one recorded exchange cannot: bytes that are not UTF-8, id-less
+requests that run concurrently yet reply in request order, and clients
+that half-close their connection before the replies are ready.
 
 To re-record after a deliberate protocol change, run :func:`record`
 against both targets and rewrite the data file with its output.
 """
 
 import json
+import logging
 import os
 import re
 import socket
@@ -133,3 +135,56 @@ def test_requests_without_ids_run_concurrently_and_reply_in_order(target):
     assert replies[0] == {"id": 1, "status": "ok", "op": "ping"}
     assert replies[1]["op"] == "validate" and replies[1]["status"] == "ok", replies[1]
     assert replies[2] == {"status": "ok", "op": "ping"}
+
+
+def _read_to_eof(sock):
+    return [json.loads(line) for line in sock.makefile("rb")]
+
+
+@pytest.mark.parametrize("target", ["server", "router"])
+def test_requests_sent_before_a_half_close_are_answered(target):
+    # A client may send its requests and half-close (``shutdown(SHUT_WR)``,
+    # ``nc -N``) before any reply is ready: everything read before the end
+    # of input is still answered, in request order, before the connection
+    # closes.
+    slow = json.dumps(
+        {"op": "validate", "source": SLOW_SOURCE, "samples": 4096, "points": 4}
+    ).encode("utf-8")
+    miss = json.dumps({"op": "analyze", "source": SLOW_SOURCE, "name": "FMA"}).encode("utf-8")
+    with _harness(target) as harness:
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=120) as sock:
+            sock.sendall(slow + b"\n" + miss + b'\n{"op":"ping"}\n')
+            sock.shutdown(socket.SHUT_WR)
+            replies = _read_to_eof(sock)
+    assert [reply.get("op") for reply in replies] == ["validate", "analyze", "ping"], replies
+    assert all(reply["status"] == "ok" for reply in replies), replies
+    assert replies[1]["cached"] is False
+
+
+@pytest.mark.parametrize("target", ["server", "router"])
+def test_an_idless_shutdown_waits_for_the_replies_before_it(target):
+    slow = json.dumps(
+        {"op": "validate", "source": SLOW_SOURCE, "samples": 4096, "points": 4}
+    ).encode("utf-8")
+    with _harness(target) as harness:
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=120) as sock:
+            sock.sendall(slow + b'\n{"op":"shutdown"}\n')
+            sock.shutdown(socket.SHUT_WR)
+            replies = _read_to_eof(sock)
+    assert len(replies) == 2, replies
+    assert replies[0]["op"] == "validate" and replies[0]["status"] == "ok", replies[0]
+    assert replies[1] == {"status": "ok", "op": "shutdown"}
+
+
+@pytest.mark.parametrize("target", ["server", "router"])
+def test_stopping_closes_idle_client_connections(target, caplog):
+    # A client still connected when the server stops is disconnected
+    # cleanly: no handler is left parked in readline() for loop teardown
+    # to cancel (which asyncio logs as an error).
+    with _harness(target) as harness:
+        sock = socket.create_connection(("127.0.0.1", harness.port), timeout=30)
+        sock.sendall(b'{"op":"ping"}\n')
+        assert json.loads(sock.makefile("rb").readline())["status"] == "ok"
+    with sock:
+        assert sock.recv(1) == b""
+    assert [record for record in caplog.records if record.levelno >= logging.ERROR] == []
