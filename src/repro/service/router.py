@@ -456,6 +456,10 @@ class RouterServer:
         kind = request.get("kind", "lnum")
         trace_id = requested_trace_id(request.get("trace"))
         deadline_ms = request.get("deadline_ms")
+        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
+            # No budget to spend at this hop: the worker applies the
+            # wire's rules (0 disables the deadline, a non-number is a 400).
+            deadline_ms = None
         route_started = time.perf_counter()
         # Every op routes on the *analysis* key of the source, so a
         # program's analyses, validations and tunings share a worker — and

@@ -171,3 +171,21 @@ def test_stopping_closes_idle_client_connections(target, caplog):
     with sock:
         assert sock.recv(1) == b""
     assert [record for record in caplog.records if record.levelno >= logging.ERROR] == []
+
+
+@pytest.mark.parametrize("target", ["server", "router"])
+def test_deadline_ms_without_a_budget_follows_the_server_rules(target):
+    # ``deadline_ms: 0`` disables the deadline and a non-number is a 400,
+    # through the router exactly as on a single server.
+    with _harness(target) as harness:
+        with socket.create_connection(("127.0.0.1", harness.port), timeout=60) as sock:
+            reader = sock.makefile("rb")
+            replies = []
+            for deadline in (0, "soon"):
+                request = {"op": "analyze", "source": SLOW_SOURCE, "deadline_ms": deadline}
+                sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
+                replies.append(json.loads(reader.readline()))
+    assert replies[0]["status"] == "ok", replies[0]
+    assert replies[1] == {
+        "status": "error", "code": 400, "error": "'deadline_ms' must be a number"
+    }, replies[1]
