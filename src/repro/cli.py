@@ -235,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--budget", type=int, default=48,
-        help="with --tune: certification budget for refinement (default 48)",
+        help="with --tune: candidates per program, cached ones included (default 48)",
     )
     query.add_argument(
         "--stochastic", action="store_true",
-        help="with --tune: also certify under stochastic-rounding execution",
+        help="with --tune: mark narrowed sites as executing under stochastic rounding",
     )
     query.add_argument(
         "--json", action="store_true", help="print raw JSON responses"
@@ -386,32 +386,34 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=48,
-        help="certification budget for the refinement rounds (default 48)",
+        help="candidates per program, cached ones included (default 48)",
     )
     tune.add_argument(
         "--samples",
         type=int,
         default=8,
-        help="stochastic-rounding executions per certification point (default 8)",
+        help="stochastic-rounding executions per point of the winner check (default 8)",
     )
     tune.add_argument(
         "--points",
         type=int,
         default=3,
-        help="input points sampled per certification (default 3)",
+        help="input points sampled by the winner check (default 3)",
     )
-    tune.add_argument("--seed", type=int, default=0, help="sampling seed")
+    tune.add_argument("--seed", type=int, default=0, help="winner-check sampling seed")
     tune.add_argument(
         "--stochastic",
         action="store_true",
-        help="also certify candidates under stochastic-rounding execution",
+        help="mark narrowed sites as executing under stochastic rounding "
+        "(the bound is the same; the winner check samples stochastic runs "
+        "either way)",
     )
     tune.add_argument(
         "-j",
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the certification fan-out (default 1)",
+        help="worker processes for the candidate-bound fan-out (default 1)",
     )
     tune.add_argument(
         "-f", "--function", help="only tune this function"
@@ -852,7 +854,7 @@ def _command_query(arguments: argparse.Namespace) -> int:
                     exit_code = max(exit_code, 2)
                 elif arguments.validate and verdict == "violation":
                     exit_code = max(exit_code, 1)
-                elif arguments.tune and verdict == "error":
+                elif arguments.tune and verdict in ("error", "violation"):
                     exit_code = max(exit_code, 2)
                 elif arguments.tune and verdict == "infeasible":
                     exit_code = max(exit_code, 1)

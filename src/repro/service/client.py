@@ -642,7 +642,7 @@ def render_tuning(response: Dict[str, Any]) -> str:
             )
         lines.append(
             f"  candidates     : {program['candidates']} "
-            f"({program['certifications']} certified, "
+            f"({program['certifications']} inferred, "
             f"{program['cache_hits']} cache hits)"
         )
         for note in program.get("notes", []):

@@ -787,7 +787,10 @@ class AnalysisService:
                 if parsed <= 0:
                     return self._error(f"{field_name!r} must be positive")
                 params[field_name] = str(parsed)
-            params["stochastic"] = bool(request.get("stochastic", False))
+            stochastic = request.get("stochastic", False)
+            if not isinstance(stochastic, bool):
+                return self._error("'stochastic' must be a boolean")
+            params["stochastic"] = stochastic
 
         started = time.perf_counter()
         loop = asyncio.get_running_loop()

@@ -6,8 +6,8 @@ package turns that from "check a bound" into "synthesize a program": given
 a target error bound, it searches per-site format assignments
 (bfloat16/binary16/binary32/binary64, with optional stochastic-rounding
 execution semantics) for the cheapest configuration whose *certified*
-bound — concrete per-site-grade inference plus a differential
-mixed-precision sampling run — meets the target.
+bound — concrete per-site-grade inference — meets the target; one
+differential mixed-precision sampling run then checks the winner.
 
 Layout:
 
@@ -16,7 +16,8 @@ Layout:
 * :mod:`~repro.tuning.empirical` — differential measurement of one
   assignment: validation's executor with a per-site precision table.
 * :mod:`~repro.tuning.search` — the symbolic probe, the greedy search,
-  certification fan-out, and the service work unit ``tune_item``.
+  the candidate-bound fan-out, the winner check, and the service work
+  unit ``tune_item``.
 * :mod:`~repro.tuning.bench` — the ``BENCH_tuning.json`` corpus benchmark
   and its regression gate.
 * :mod:`~repro.tuning.stats` — process-local counters (the ``tuning``
@@ -41,6 +42,7 @@ from .search import (
     SubjectTuning,
     TuningOptions,
     TuningResult,
+    candidate_bound,
     candidate_key,
     certify_candidate,
     parse_fraction,
@@ -65,6 +67,7 @@ __all__ = [
     "SubjectTuning",
     "TuningOptions",
     "TuningResult",
+    "candidate_bound",
     "candidate_key",
     "certify_candidate",
     "parse_fraction",

@@ -101,12 +101,6 @@ class PrecisionAssignment:
     def is_uniform(self) -> bool:
         return len(set(self.formats)) <= 1
 
-    def key_part(self) -> str:
-        """Compact stable string for content keys: ``bf16,b64,...[|sr]``."""
-        short = {"bfloat16": "bf16", "binary16": "b16", "binary32": "b32", "binary64": "b64"}
-        body = ",".join(short[name] for name in self.formats)
-        return body + ("|sr" if self.stochastic else "")
-
     def site_grades(self) -> Tuple[Grade, ...]:
         """One concrete error grade per site: the format's unit roundoff."""
         return tuple(

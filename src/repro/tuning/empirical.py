@@ -15,8 +15,8 @@ Sites are named by node identity in an *unshared* rebuild of the term
 (:func:`repro.tuning.assignment.unshare_term`): hash-consing makes equal
 subterms pointer-identical, so only an unshared tree gives every ``rnd``
 occurrence a distinct identity for the evaluator's ``rounder``.
-Everything here runs inline in whatever process certifies the candidate —
-no nested pools, mirroring ``validate_item``.
+Everything here runs inline in the process that checks the tuner's
+winner — no nested pools, mirroring ``validate_item``.
 """
 
 from __future__ import annotations

@@ -8,14 +8,21 @@ can be read off by evaluating that polynomial at different format
 choices.  The guide is only approximate — ``max`` nodes in the grade
 algebra switch branches as the values move — so every candidate the guide
 proposes is handed to the judge: a full re-inference with one concrete
-grade per site (the sound type-level bound) plus a differential
-mixed-precision sampling run (:mod:`repro.tuning.empirical`).  Only
-judge-approved assignments are ever returned.
+grade per site (:func:`candidate_bound`).  By the paper's soundness
+theorem that inferred bound is the certificate, so a candidate is
+feasible exactly when its bound meets the target.
 
-Candidate certifications fan out through
+After the search, :func:`certify_candidate` checks the winner once by a
+differential mixed-precision sampling run (:mod:`repro.tuning.empirical`).
+That check tests the implementation, not the candidate: a winner whose
+sampled error exceeds its bound plus slack is reported as a
+``violation``, never swapped for another candidate.
+
+Candidate bounds fan out through
 :class:`repro.analysis.batch.BatchAnalyzer` and are content-cached by
-``(term, assignment, sampling parameters)`` key, so re-tuning a program at
-a different target or budget reuses every previously certified candidate.
+what inference reads — term, skeleton, config and formats — so re-tuning
+a program at a different target, budget, seed or sampling setting reuses
+every previously inferred candidate.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ __all__ = [
     "ItemTuning",
     "TuningResult",
     "PrecisionTuner",
+    "candidate_bound",
     "candidate_key",
     "certify_candidate",
     "parse_fraction",
@@ -63,7 +71,7 @@ __all__ = [
 ]
 
 #: Bumped when the tuning pipeline changes in a result-visible way.
-TUNING_SCHEMA = 1
+TUNING_SCHEMA = 2
 
 #: Default error budget as a multiple of the uniform-binary64 certified
 #: bound.  Chosen between the uniform-binary16 level (``~2^42 *`` the
@@ -117,8 +125,9 @@ class TuningOptions:
     #: Target as a multiple of the subject's uniform-binary64 certified
     #: bound; defaults to :data:`DEFAULT_TARGET_RATIO` when neither is set.
     target_ratio: Optional[Fraction] = None
-    #: Maximum candidate certifications per subject (cache hits excluded).
+    #: Maximum candidates per subject, cached ones included.
     budget: int = 48
+    #: Sampling of the winner check (:func:`certify_candidate`).
     points: int = 3
     samples: int = 8
     seed: int = 0
@@ -139,11 +148,6 @@ class TuningOptions:
 
     def resolved_ratio(self) -> Fraction:
         return self.target_ratio if self.target_ratio is not None else DEFAULT_TARGET_RATIO
-
-    def sample_options(self) -> SampleOptions:
-        return SampleOptions(
-            points=self.points, samples=self.samples, precision=53, seed=self.seed
-        )
 
     @staticmethod
     def from_dict(data: Optional[Dict[str, Any]]) -> "TuningOptions":
@@ -173,67 +177,16 @@ class TuningOptions:
 
 
 # ---------------------------------------------------------------------------
-# Certification (the judge)
+# Certification (the judge) and the winner check
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CandidateCertificate:
-    """One assignment's certified bound and empirical verdict.
-
-    Independent of any target: ``sound`` says the empirical worst case
-    stayed inside the certified bound plus the soundness slack, and
-    :meth:`feasible_at` adds the target comparison — so a certificate
-    cached for one tuning run serves every later target.
-    """
-
-    formats: Tuple[str, ...]
-    stochastic: bool
-    rp_bound: Optional[Fraction]
-    sound: bool
-    empirical_ok: bool
-    max_rp: Fraction
-    slack: Fraction
-    seconds: float
-    message: str = ""
-
-    @property
-    def cost(self) -> int:
-        return sum(FORMAT_COSTS[name] for name in self.formats)
-
-    def feasible_at(self, target: Fraction) -> bool:
-        return self.sound and self.rp_bound is not None and self.rp_bound <= target
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "formats": list(self.formats),
-            "stochastic": self.stochastic,
-            "rp_bound": None if self.rp_bound is None else float(self.rp_bound),
-            "rp_bound_exact": None if self.rp_bound is None else exact_str(self.rp_bound),
-            "sound": self.sound,
-            "empirical_ok": self.empirical_ok,
-            "max_rp": float(self.max_rp),
-            "slack": float(self.slack),
-            "cost": self.cost,
-            "seconds": self.seconds,
-            "message": self.message,
-        }
 
 
 def candidate_key(
     subject: ValidationSubject,
     config: Optional[InferenceConfig],
     assignment: PrecisionAssignment,
-    options: TuningOptions,
 ) -> str:
-    """Content key of one ``(term, assignment)`` certification."""
-    ranges = ",".join(
-        f"{name}:{low}:{high}"
-        for name, (low, high) in sorted(subject.input_ranges.items())
-    )
-    errors = ",".join(
-        f"{name}:{value}" for name, value in sorted(subject.input_errors.items())
-    )
+    """Content key of one candidate bound: only what inference reads."""
     skeleton = ",".join(
         f"{name}:{tau}" for name, tau in sorted(subject.skeleton.items())
     )
@@ -242,15 +195,50 @@ def candidate_key(
         config,
         "tune-candidate",
         TUNING_SCHEMA,
-        assignment.key_part(),
-        options.points,
-        options.samples,
-        options.seed,
-        ranges,
-        errors,
+        ",".join(assignment.formats),
         skeleton,
-        subject.kind,
     )
+
+
+def candidate_bound(
+    subject: ValidationSubject,
+    formats: Tuple[str, ...],
+    config: Optional[InferenceConfig],
+) -> Tuple[Optional[Fraction], str]:
+    """One assignment's inferred RP bound, or ``None`` and the reason.
+
+    Concrete per-site-grade inference — the bound the soundness theorem
+    backs.  Top-level and value-in/value-out so
+    :meth:`BatchAnalyzer.map_tasks` can ship it to a process pool.
+    """
+    try:
+        sited = (config or InferenceConfig()).with_rnd_site_grades(
+            PrecisionAssignment(formats=tuple(formats)).site_grades()
+        )
+        analysis = analyze_term(
+            subject.term, subject.skeleton, sited, name=subject.name
+        )
+    except LnumError as error:
+        return None, f"inference failed: {error}"
+    if analysis.rp_bound is None:
+        return None, "error grade is not finite"
+    return analysis.rp_bound, ""
+
+
+@dataclass(frozen=True)
+class CandidateCertificate:
+    """One assignment's inferred bound checked against sampled execution.
+
+    ``sound`` says the bound is finite and the sampled worst case
+    ``max_rp`` stayed inside ``rp_bound`` plus the soundness ``slack``;
+    ``message`` says why not.
+    """
+
+    rp_bound: Optional[Fraction]
+    sound: bool
+    max_rp: Fraction = Fraction(0)
+    slack: Fraction = Fraction(0)
+    message: str = ""
 
 
 def certify_candidate(
@@ -261,66 +249,33 @@ def certify_candidate(
     sample_dict: Dict[str, int],
     key: str,
 ) -> CandidateCertificate:
-    """Certify one assignment: concrete-grade inference + differential run.
+    """The differential check: :func:`candidate_bound` against sampling.
 
-    Top-level and value-in/value-out so :meth:`BatchAnalyzer.map_tasks`
-    can ship it to a process pool; the empirical leg runs inline (no
-    nested pools), mirroring ``validate_item``.
+    Samples the assignment at ``sample_dict``'s points, samples and seed
+    (the point seeds also derive from ``key``) and compares the worst RP
+    distance with the inferred bound plus the soundness slack.  The
+    tuner runs it once, on its winner.
     """
-    start = time.perf_counter()
-    assignment = PrecisionAssignment(formats=tuple(formats), stochastic=stochastic)
-    base = config or InferenceConfig()
-    try:
-        sited = base.with_rnd_site_grades(assignment.site_grades())
-        analysis = analyze_term(
-            subject.term, subject.skeleton, sited, name=subject.name
-        )
-    except LnumError as error:
-        return CandidateCertificate(
-            formats=tuple(formats),
-            stochastic=stochastic,
-            rp_bound=None,
-            sound=False,
-            empirical_ok=False,
-            max_rp=Fraction(0),
-            slack=Fraction(0),
-            seconds=time.perf_counter() - start,
-            message=f"inference failed: {error}",
-        )
-    rp_bound = analysis.rp_bound
+    rp_bound, message = candidate_bound(subject, formats, config)
     if rp_bound is None:
-        return CandidateCertificate(
-            formats=tuple(formats),
-            stochastic=stochastic,
-            rp_bound=None,
-            sound=False,
-            empirical_ok=False,
-            max_rp=Fraction(0),
-            slack=Fraction(0),
-            seconds=time.perf_counter() - start,
-            message="error grade is not finite",
-        )
+        return CandidateCertificate(rp_bound=None, sound=False, message=message)
     sample = SampleOptions(
         points=int(sample_dict.get("points", 3)),
         samples=int(sample_dict.get("samples", 8)),
         precision=53,
         seed=int(sample_dict.get("seed", 0)),
     )
+    assignment = PrecisionAssignment(formats=tuple(formats), stochastic=stochastic)
     summary = measure_assignment(subject, assignment, sample, key)
     slack = (
         IDEAL_SQRT_RP_SLACK * (2 * summary.max_sqrt_calls + 2)
         + summary.rounding_slack
     )
-    sound = summary.ok and summary.max_rp <= rp_bound + slack
     return CandidateCertificate(
-        formats=tuple(formats),
-        stochastic=stochastic,
         rp_bound=rp_bound,
-        sound=sound,
-        empirical_ok=summary.ok,
+        sound=summary.ok and summary.max_rp <= rp_bound + slack,
         max_rp=summary.max_rp,
         slack=slack,
-        seconds=time.perf_counter() - start,
         message=summary.message,
     )
 
@@ -447,7 +402,8 @@ class SubjectTuning:
 
     name: str
     kind: str
-    #: "tuned" | "baseline" | "trivial" | "infeasible" | "unbounded" | "error"
+    #: "tuned" | "baseline" | "trivial" | "infeasible" | "unbounded"
+    #: | "violation" (the winner failed the differential check) | "error"
     status: str
     sites: int = 0
     target: Optional[Fraction] = None
@@ -490,6 +446,8 @@ class SubjectTuning:
         if self.status == "error":
             note = self.notes[0] if self.notes else "failed"
             return f"{head} — {note}"
+        if self.status == "violation":
+            return f"{head} — {self.notes[-1]}"
         if self.status == "trivial":
             return f"{head} — no rnd sites, nothing to tune"
         parts = [f"{self.sites} site(s)"]
@@ -562,6 +520,8 @@ class ItemTuning:
             return "error"
         if any(report.status == "error" for report in self.reports):
             return "error"
+        if any(report.status == "violation" for report in self.reports):
+            return "violation"
         if any(not report.feasible for report in self.reports):
             return "infeasible"
         return "ok"
@@ -612,6 +572,10 @@ class TuningResult:
         return sum(1 for report in self.reports if report.status == "error")
 
     @property
+    def violations(self) -> int:
+        return sum(1 for report in self.reports if report.status == "violation")
+
+    @property
     def candidates(self) -> int:
         return sum(report.candidates for report in self.reports)
 
@@ -634,7 +598,7 @@ class TuningResult:
 
     @property
     def exit_code(self) -> int:
-        if self.errors:
+        if self.errors or self.violations:
             return 2
         if self.infeasible:
             return 1
@@ -649,7 +613,7 @@ class TuningResult:
         lines.append(
             f"{self.programs} program(s): {self.tuned} tuned "
             f"({self.non_uniform} non-uniform), {self.infeasible} infeasible, "
-            f"{self.errors} error(s); "
+            f"{self.violations} violation(s), {self.errors} error(s); "
             f"mean cost reduction {100.0 * self.mean_cost_reduction:.1f}%"
         )
         lines.append(
@@ -665,6 +629,7 @@ class TuningResult:
             "tuned": self.tuned,
             "non_uniform": self.non_uniform,
             "infeasible": self.infeasible,
+            "violations": self.violations,
             "errors": self.errors,
             "candidates": self.candidates,
             "certifications": self.certifications,
@@ -749,34 +714,20 @@ class PrecisionTuner:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- certification fan-out ----------------------------------------------
+    # -- candidate fan-out ---------------------------------------------------
 
-    def _certify(
+    def _infer(
         self, subject: ValidationSubject, assignments: Sequence[PrecisionAssignment]
-    ) -> Tuple[List[CandidateCertificate], int]:
-        """Certify a batch (cached + pooled); returns (certs, cache hits)."""
-        sample_dict = {
-            "points": self.options.points,
-            "samples": self.options.samples,
-            "seed": self.options.seed,
-        }
-        arguments = []
-        keys = []
-        for assignment in assignments:
-            key = candidate_key(subject, self.config, assignment, self.options)
-            arguments.append(
-                (
-                    subject,
-                    assignment.formats,
-                    assignment.stochastic,
-                    self.config,
-                    sample_dict,
-                    key,
-                )
-            )
-            keys.append(key)
+    ) -> Tuple[List[Tuple[Optional[Fraction], str]], int]:
+        """Bounds of a batch (cached + pooled); returns (bounds, cache hits)."""
+        arguments = [
+            (subject, assignment.formats, self.config) for assignment in assignments
+        ]
+        keys = [
+            candidate_key(subject, self.config, assignment) for assignment in assignments
+        ]
         before = replace(self.cache.stats) if self.cache else CacheStats()
-        results = self.batch.map_tasks(certify_candidate, arguments, keys)
+        results = self.batch.map_tasks(candidate_bound, arguments, keys)
         after = self.cache.stats if self.cache else CacheStats()
         hits = after.hits - before.hits
         record_tuning(
@@ -797,17 +748,17 @@ class PrecisionTuner:
                 return replace(cached, from_cache=True)
         start = time.perf_counter()
         record_tuning(subjects=1)
-        result = self._tune_subject(subject, key)
+        result = self._tune_subject(subject)
         result.seconds = time.perf_counter() - start
         if result.status == "tuned":
             record_tuning(tuned=1)
         if result.status in ("infeasible", "unbounded"):
             record_tuning(infeasible=1)
-        if self.cache is not None and result.status != "error":
+        if self.cache is not None and result.status not in ("error", "violation"):
             self.cache.put(key, result)
         return result
 
-    def _tune_subject(self, subject: ValidationSubject, key: str) -> SubjectTuning:
+    def _tune_subject(self, subject: ValidationSubject) -> SubjectTuning:
         options = self.options
         try:
             site_nodes = enumerate_rnd_sites(subject.term, subject.skeleton)
@@ -836,7 +787,7 @@ class PrecisionTuner:
 
         def batch(
             assignments: List[PrecisionAssignment],
-        ) -> List[CandidateCertificate]:
+        ) -> List[Tuple[PrecisionAssignment, Optional[Fraction], str]]:
             nonlocal candidates_tried, cache_hits
             fresh = []
             for assignment in assignments:
@@ -846,19 +797,37 @@ class PrecisionTuner:
                 fresh.append(assignment)
             if not fresh:
                 return []
-            certs, hits = self._certify(subject, fresh)
+            bounds, hits = self._infer(subject, fresh)
             candidates_tried += len(fresh)
             cache_hits += hits
-            return certs
+            return [
+                (assignment, bound, message)
+                for assignment, (bound, message) in zip(fresh, bounds)
+            ]
+
+        def cheapest(
+            rows: List[Tuple[PrecisionAssignment, Optional[Fraction], str]],
+            below: Optional[int] = None,
+        ) -> Optional[Tuple[PrecisionAssignment, Fraction]]:
+            feasible = [
+                (assignment, bound)
+                for assignment, bound, _message in rows
+                if bound is not None
+                and bound <= target
+                and (below is None or assignment.cost < below)
+            ]
+            return min(
+                feasible, key=lambda pair: (pair[0].cost, pair[1]), default=None
+            )
 
         # Round 1: the uniform ladder.  binary64 doubles as the baseline.
         uniforms = [
             PrecisionAssignment.uniform(name, sites, options.stochastic)
-            for name in reversed(LADDER)  # widest first: baseline is certs[0]
+            for name in reversed(LADDER)  # widest first: baseline is rows[0]
         ]
-        certs = batch(uniforms)
-        baseline = certs[0]
-        if baseline.rp_bound is None:
+        rows = batch(uniforms)
+        _baseline, baseline_rp, baseline_message = rows[0]
+        if baseline_rp is None:
             return SubjectTuning(
                 name=subject.name,
                 kind=subject.kind,
@@ -868,17 +837,13 @@ class PrecisionTuner:
                 certifications=candidates_tried - cache_hits,
                 cache_hits=cache_hits,
                 notes=["uniform binary64 error grade is not finite"]
-                + ([baseline.message] if baseline.message else []),
+                + ([baseline_message] if baseline_message else []),
             )
         target = (
             options.target
             if options.target is not None
-            else options.resolved_ratio() * baseline.rp_bound
+            else options.resolved_ratio() * baseline_rp
         )
-        if not baseline.sound:
-            notes.append(
-                "uniform binary64 failed the differential check: " + baseline.message
-            )
 
         # Round 2: grade-guided greedy variants at three margins.
         probe = probe_subject(subject, self.config, sites)
@@ -890,16 +855,12 @@ class PrecisionTuner:
                 greedy_assignment(probe, sites, target, margin)
                 for margin in (Fraction(1), Fraction(1, 2), Fraction(1, 4))
             ]
-            certs.extend(batch(guided))
-
-        feasible = [cert for cert in certs if cert.feasible_at(target)]
-        best: Optional[CandidateCertificate] = None
-        if feasible:
-            best = min(feasible, key=lambda cert: (cert.cost, cert.rp_bound))
+            rows.extend(batch(guided))
+        best = cheapest(rows)
 
         # Round 3: single-site refinement until the budget runs dry.
         while best is not None and candidates_tried < options.budget:
-            current = PrecisionAssignment(best.formats, options.stochastic)
+            current = best[0]
             neighbours: List[PrecisionAssignment] = []
             for index in range(sites):
                 narrowed = current.narrowed(index)
@@ -916,48 +877,51 @@ class PrecisionTuner:
             neighbours = neighbours[:room]
             if not neighbours:
                 break
-            round_certs = batch(neighbours)
-            certs.extend(round_certs)
-            improvements = [
-                cert
-                for cert in round_certs
-                if cert.feasible_at(target) and cert.cost < best.cost
-            ]
-            if not improvements:
+            improvement = cheapest(batch(neighbours), below=current.cost)
+            if improvement is None:
                 break
-            best = min(improvements, key=lambda cert: (cert.cost, cert.rp_bound))
+            best = improvement
 
-        if best is None:
-            return SubjectTuning(
-                name=subject.name,
-                kind=subject.kind,
-                status="infeasible",
-                sites=sites,
-                target=target,
-                baseline_rp=baseline.rp_bound,
-                candidates=candidates_tried,
-                certifications=candidates_tried - cache_hits,
-                cache_hits=cache_hits,
-                probe_used=probe is not None,
-                notes=notes + ["no certified assignment meets the target"],
-            )
-        assignment = PrecisionAssignment(best.formats, options.stochastic)
-        status = "baseline" if assignment.cost == assignment.baseline_cost else "tuned"
-        return SubjectTuning(
+        outcome = SubjectTuning(
             name=subject.name,
             kind=subject.kind,
-            status=status,
+            status="infeasible",
             sites=sites,
             target=target,
-            baseline_rp=baseline.rp_bound,
-            assignment=assignment,
-            certified_rp=best.rp_bound,
+            baseline_rp=baseline_rp,
             candidates=candidates_tried,
             certifications=candidates_tried - cache_hits,
             cache_hits=cache_hits,
             probe_used=probe is not None,
             notes=notes,
         )
+        if best is None:
+            notes.append("no certified assignment meets the target")
+            return outcome
+        assignment, bound = best
+        outcome.assignment = assignment
+        check = certify_candidate(
+            subject,
+            assignment.formats,
+            assignment.stochastic,
+            self.config,
+            options.to_dict(),
+            candidate_key(subject, self.config, assignment),
+        )
+        if not check.sound:
+            outcome.status = "violation"
+            notes.append(
+                "the winner failed the differential check: sampled max RP "
+                f"{float(check.max_rp):.3e}, bound {float(bound):.3e}, "
+                f"slack {float(check.slack):.3e}"
+                + (f" ({check.message})" if check.message else "")
+            )
+            return outcome
+        outcome.status = (
+            "baseline" if assignment.cost == assignment.baseline_cost else "tuned"
+        )
+        outcome.certified_rp = bound
+        return outcome
 
     # -- batches -------------------------------------------------------------
 

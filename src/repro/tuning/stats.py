@@ -16,11 +16,11 @@ __all__ = ["record_tuning", "tuning_stats", "reset_tuning_stats"]
 
 _FIELDS = (
     "subjects",        # programs tuned (cache hits included)
-    "candidates",      # assignments considered for certification
-    "certifications",  # assignments actually certified (cache misses)
-    "cache_hits",      # assignments served from the analysis cache
+    "candidates",      # assignments whose bound the search needed
+    "certifications",  # candidate bounds inferred (cache misses)
+    "cache_hits",      # candidate bounds served from the analysis cache
     "probe_failures",  # symbolic probes that produced no usable weights
-    "tuned",           # subjects that ended with a certified non-uniform mix
+    "tuned",           # subjects cheaper than uniform binary64 (uniform narrowing included)
     "infeasible",      # subjects with no certified assignment at the target
 )
 

@@ -8,6 +8,7 @@ makes), search determinism, cache-key stability, the CLI exit codes, and
 the ``tune`` op of the analysis service.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -92,11 +93,6 @@ class TestAssignment:
         floor = PrecisionAssignment.uniform("bfloat16", 1)
         assert floor.narrowed(0) is None
 
-    def test_key_part_distinguishes_stochastic(self):
-        plain = PrecisionAssignment.uniform("binary16", 2)
-        noisy = PrecisionAssignment(formats=plain.formats, stochastic=True)
-        assert plain.key_part() != noisy.key_part()
-
     def test_unshare_gives_unique_rnd_identities(self):
         subject = subject_named(PYTH_SOURCE, "PythagoreanSum")
         unshared = unshare_term(subject.term)
@@ -135,22 +131,15 @@ def test_table5_tuning_matches_the_committed_bench_report():
 
 
 def test_to_dict_writes_exact_fields_past_the_int_digit_cap():
-    from repro.tuning.search import CandidateCertificate, SubjectTuning
+    from repro.tuning.search import SubjectTuning
 
     huge = Fraction(1, 7**6000)  # a 5,071-digit denominator
-    payloads = (
-        CandidateCertificate(
-            formats=("binary64",), stochastic=False, rp_bound=huge, sound=True,
-            empirical_ok=True, max_rp=huge, slack=huge, seconds=0.0,
-        ).to_dict(),
-        SubjectTuning(
-            name="p", kind="bench", status="tuned", target=huge, certified_rp=huge
-        ).to_dict(),
-    )
-    for payload in payloads:
-        decoded = json.loads(json.dumps(payload))
-        exact = [value for key, value in decoded.items() if key.endswith("_exact")]
-        assert exact and all(len(value) > 5000 for value in exact)
+    payload = SubjectTuning(
+        name="p", kind="bench", status="tuned", target=huge, certified_rp=huge
+    ).to_dict()
+    decoded = json.loads(json.dumps(payload))
+    exact = [value for key, value in decoded.items() if key.endswith("_exact")]
+    assert len(exact) == 2 and all(len(value) > 5000 for value in exact)
 
 
 class TestSiteGrades:
@@ -200,7 +189,7 @@ class TestCertification:
             {"points": 2, "samples": 4, "seed": 0},
             "test-key",
         )
-        assert cert.sound and cert.empirical_ok
+        assert cert.sound and not cert.message
         assert cert.rp_bound is not None and cert.max_rp <= cert.rp_bound + cert.slack
 
     def test_mixed_slack_sums_u_squared_of_each_executed_site(self):
@@ -241,6 +230,80 @@ class TestCertification:
         assert recheck.rp_bound == outcome.certified_rp
         assert outcome.target is not None
         assert recheck.rp_bound <= outcome.target
+
+
+class TestWinnerCheck:
+    @pytest.fixture()
+    def sampled(self, monkeypatch):
+        """Count winner checks; ``inflate`` pushes sampled RP past any bound."""
+        import repro.tuning.search as search
+
+        calls = []
+        real = search.measure_assignment
+
+        def counting(subject, assignment, sample, key):
+            calls.append(subject.name)
+            summary = real(subject, assignment, sample, key)
+            if counting.inflate:
+                summary = dataclasses.replace(summary, max_rp=Fraction(1))
+            return summary
+
+        counting.inflate = False
+        monkeypatch.setattr(search, "measure_assignment", counting)
+        counting.calls = calls
+        return counting
+
+    def tune(self, source, name=None, **options):
+        with PrecisionTuner(options=TuningOptions(**options)) as tuner:
+            return tuner.tune_subject(subject_named(source, name))
+
+    def test_sampling_runs_once_per_certified_winner(self, sampled, monkeypatch):
+        import repro.tuning.search as search
+
+        cases = [
+            ("tuned", FMA_SOURCE, None, {}),
+            ("tuned", PYTH_SOURCE, "PythagoreanSum", {}),
+            ("baseline", FMA_SOURCE, None, {"target_ratio": Fraction(1)}),
+            ("infeasible", FMA_SOURCE, None, {"target": Fraction(1, 2**200)}),
+            ("trivial", "function Id (x: num) : num {\n  x\n}\n", None, {}),
+        ]
+        for status, source, name, options in cases:
+            del sampled.calls[:]
+            outcome = self.tune(source, name, **options)
+            assert outcome.status == status
+            assert len(sampled.calls) == (1 if outcome.feasible and outcome.sites else 0)
+        monkeypatch.setattr(
+            search, "candidate_bound", lambda *args: (None, "error grade is not finite")
+        )
+        del sampled.calls[:]
+        assert self.tune(FMA_SOURCE).status == "unbounded"
+        assert sampled.calls == []
+
+    def test_a_failing_winner_is_a_violation(self, sampled, tmp_path, capsys):
+        from repro.cli import main
+
+        sampled.inflate = True
+        subject = subject_named(FMA_SOURCE)
+        cache = AnalysisCache(directory=str(tmp_path))
+        with PrecisionTuner(cache=cache, options=FAST) as tuner:
+            outcome = tuner.tune_subject(subject)
+        assert outcome.status == "violation"
+        assert outcome.assignment.formats == ("binary16",)
+        assert outcome.certified_rp is None
+        assert "sampled max RP 1.000e+00" in outcome.notes[-1]
+        assert cache.get(tuning_key(subject, None, FAST), None) is None
+        item = BatchItem(name="fma", kind="lnum", source=FMA_SOURCE)
+        assert tune_item(item, options=FAST.to_dict()).verdict == "violation"
+        code = main(
+            [
+                "tune", os.path.join(EXAMPLES, "fma.lnum"),
+                "--points", "2", "--samples", "4",
+                "--cache-dir", str(tmp_path / "cli"),
+            ]
+        )
+        assert code == 2
+        assert "violation" in capsys.readouterr().out
+        assert len(sampled.calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +376,36 @@ class TestCacheKeys:
         subject = subject_named(PYTH_SOURCE, "PythagoreanSum")
         uniform = PrecisionAssignment.uniform("binary16", 5)
         mixed = uniform.with_format(2, "binary32")
-        assert candidate_key(subject, None, uniform, FAST) != candidate_key(
-            subject, None, mixed, FAST
+        assert candidate_key(subject, None, uniform) != candidate_key(
+            subject, None, mixed
         )
+        # Only what inference reads is keyed: the stochastic flag is not.
+        noisy = PrecisionAssignment(formats=uniform.formats, stochastic=True)
+        assert candidate_key(subject, None, noisy) == candidate_key(
+            subject, None, uniform
+        )
+
+    def test_candidate_bounds_serve_every_sampling_setting(self, tmp_path):
+        # Points, samples, seed and the stochastic flag only set up the
+        # winner check, so a second run under any of them is all hits.
+        subject = subject_named(PYTH_SOURCE, "PythagoreanSum")
+        cache = AnalysisCache(directory=str(tmp_path))
+        with PrecisionTuner(cache=cache, options=TuningOptions(seed=0)) as tuner:
+            first = tuner.tune_subject(subject)
+        assert first.status == "tuned" and first.cache_hits == 0
+        variants = [
+            TuningOptions(seed=7),
+            TuningOptions(points=2, samples=4),
+            TuningOptions(stochastic=True),
+        ]
+        for options in variants:
+            with PrecisionTuner(cache=cache, options=options) as tuner:
+                again = tuner.tune_subject(subject)
+            assert not again.from_cache, options
+            assert again.cache_hits == again.candidates == first.candidates, options
+            assert again.certifications == 0, options
+            assert again.assignment.formats == first.assignment.formats, options
+            assert again.certified_rp == first.certified_rp, options
 
     def test_config_key_includes_site_grades(self):
         plain = InferenceConfig()
@@ -500,6 +590,11 @@ class TestServeTune:
                 assert time.monotonic() - started < 1.0, target
             with pytest.raises(ServiceError):
                 client.tune(FMA_SOURCE, budget=0)
+            response = client.request(
+                {"op": "tune", "source": FMA_SOURCE, "stochastic": "false"}
+            )
+            assert response["code"] == 400
+            assert response["error"] == "'stochastic' must be a boolean"
 
     def test_query_cli_tune_flag(self, live_server, capsys):
         from repro.cli import main
